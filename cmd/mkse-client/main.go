@@ -28,6 +28,8 @@
 // mkse_wal_position, …), so scripts parse the same vocabulary a /metrics
 // scrape exposes.
 //
+// -cloud is a one-partition -cluster: both dial the same client, and trace
+// prints the same scatter → partition → attempt tree for either.
 // -cluster replaces -cloud with a partitioned topology: a comma-separated
 // partition list, each element "primary[/replica...]", in partition order
 // (element i must be the daemon started with -partition i/P). Searches

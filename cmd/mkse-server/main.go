@@ -15,7 +15,6 @@
 //	            [-metrics-addr :7012] [-slow-query 250ms] [-slow-query-ms 250]
 //	            [-trace-sample 100]
 //	            [-log-format text|json] [-log-level info]
-//	            [-snapshot cloud.db]
 //
 // -shards splits the document store into independently locked shards
 // (default: one per core) scanned concurrently by -workers goroutines per
@@ -102,20 +101,11 @@
 // -idle-timeout, when non-zero, disconnects clients that sit idle between
 // requests longer than the window (replication streams are exempt), so
 // leaked connections cannot pin a drain to its deadline.
-//
-// -snapshot is the legacy single-file mode, superseded by -data: the
-// database is restored from the file at startup (first boot starts empty)
-// and written back only on shutdown. Both modes persist on any clean
-// shutdown — SIGINT, SIGTERM, or the listener closing — and both restore
-// with the scheme parameters recorded on disk, which must match the owner
-// daemon's.
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
-	"io/fs"
 	"net"
 	"os"
 	"os/signal"
@@ -127,7 +117,6 @@ import (
 	"mkse/internal/core"
 	"mkse/internal/durable"
 	"mkse/internal/service"
-	"mkse/internal/store"
 	"mkse/internal/telemetry"
 	"mkse/internal/trace"
 )
@@ -153,7 +142,6 @@ func main() {
 	var (
 		listen      = flag.String("listen", ":7002", "address to listen on")
 		levels      = flag.String("levels", "1", "comma-separated ranking thresholds (η levels)")
-		snapshot    = flag.String("snapshot", "", "legacy single-file persistence (superseded by -data)")
 		dataDir     = flag.String("data", "", "durable engine data directory (write-ahead log + checkpoints)")
 		ckptEvery   = flag.Int("checkpoint-every", 4096, "mutations between background checkpoints with -data (0 = only on shutdown)")
 		fsyncMode   = flag.String("fsync", "interval", "WAL sync policy with -data: always, interval or never")
@@ -192,10 +180,6 @@ func main() {
 	}
 	p.Levels = lv
 
-	if *dataDir != "" && *snapshot != "" {
-		fmt.Fprintln(os.Stderr, "mkse-server: -data and -snapshot are mutually exclusive")
-		os.Exit(2)
-	}
 	if *replicaOf != "" && *dataDir == "" {
 		fmt.Fprintln(os.Stderr, "mkse-server: -replica-of requires -data (the follower replays the primary's log through its own durable engine)")
 		os.Exit(2)
@@ -225,8 +209,7 @@ func main() {
 	var persist func()
 	var eng *durable.Engine
 
-	switch {
-	case *dataDir != "":
+	if *dataDir != "" {
 		fsync, err := durable.ParseFsyncPolicy(*fsyncMode)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "mkse-server: %v\n", err)
@@ -265,38 +248,12 @@ func main() {
 			logger.Info("checkpointed on shutdown",
 				"documents", eng.Server().NumDocuments(), "checkpoint_lsn", eng.Stats().CheckpointLSN)
 		}
-
-	default:
-		mkServer := func(p core.Params) (*core.Server, error) {
-			return core.NewServerSharded(p, *shards, *workers)
-		}
-		var server *core.Server
-		if *snapshot != "" {
-			switch restored, err := store.LoadFileWith(*snapshot, mkServer); {
-			case err == nil:
-				server = restored
-				logger.Info("restored snapshot", "documents", server.NumDocuments(), "path", *snapshot)
-			case errors.Is(err, fs.ErrNotExist):
-				logger.Info("no snapshot yet, starting empty", "path", *snapshot)
-			default:
-				fatal("restoring %s: %v", *snapshot, err)
-			}
-		}
-		if server == nil {
-			if server, err = mkServer(p); err != nil {
-				fatal("%v", err)
-			}
+	} else {
+		server, err := core.NewServerSharded(p, *shards, *workers)
+		if err != nil {
+			fatal("%v", err)
 		}
 		svc.Server = server
-		if *snapshot != "" {
-			persist = func() {
-				if err := store.SaveFile(*snapshot, server); err != nil {
-					logger.Error("snapshot failed", "err", err)
-					os.Exit(1)
-				}
-				logger.Info("snapshotted on shutdown", "documents", server.NumDocuments(), "path", *snapshot)
-			}
-		}
 	}
 
 	// Tracing must be wired before Serve: the Tracer field is read without a

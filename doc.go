@@ -70,13 +70,9 @@
 // point recovers and resumes from its acknowledged position, and can be
 // promoted to primary in place (see below). Followers reject writes,
 // answer searches and fetches, and report their lag (own position vs the
-// primary's, as heard on the stream) through a status verb. service.Client
-// fans Search/SearchBatch across a registered replica set with rotating
-// selection, probing status and skipping followers that lag beyond
-// MaxReplicaLag, and falls back to the primary on any transport failure;
-// mutations and retrievals always go to the primary. See EXPERIMENTS.md
-// ("WAL-shipping replication") for catch-up throughput and fan-out
-// numbers, and examples/replication for a runnable deployment.
+// primary's, as heard on the stream) through a status verb. See
+// EXPERIMENTS.md ("WAL-shipping replication") for catch-up throughput and
+// fan-out numbers, and examples/replication for a runnable deployment.
 //
 // # Partitioned scatter-gather cluster
 //
@@ -87,19 +83,36 @@
 // — and each partition is an ordinary single-node deployment underneath
 // (own WAL, checkpoints, followers). mkse-server -partition i/P stamps a
 // daemon with its slot; primaries reject mutations for documents another
-// partition owns. A fat client (DialCluster, mkse-client -cluster)
-// verifies each server's reported identity at dial time, routes
-// Upload/Delete/Retrieve to the owning partition, and fans Search out to
-// all partitions, interleaving the per-partition top-τ lists under the
-// global τ-cut. Partitions are disjoint by document ID, so the merged
-// result is byte-identical to one node scanning everything — proven by a
-// randomized property suite down to the binary-comparison cost accounting.
-// A partition that stalls or dies mid-search burns only its bounded
-// per-partition deadline, falls back to its read replicas, and — only if
-// all of them fail — is named in a typed *cluster.PartialError returned
-// alongside the survivors' merged results. See ARCHITECTURE.md
-// ("Cluster") and examples/cluster for a runnable two-partition
-// deployment including the severed-partition failure path.
+// partition owns. The client verifies each server's reported identity at
+// dial time, routes Delete/Retrieve to the owning partition, and fans
+// Search out to all partitions, interleaving the per-partition top-τ lists
+// under the global τ-cut. Partitions are disjoint by document ID, so the
+// merged result is byte-identical to one node scanning everything — proven
+// by a randomized property suite down to the binary-comparison cost
+// accounting. See ARCHITECTURE.md ("Cluster") and examples/cluster for a
+// runnable two-partition deployment including the severed-partition
+// failure path.
+//
+// # The client
+//
+// There is one client path: a single cloud daemon is a one-partition
+// cluster, so Dial(user, owner, cloud) builds that topology and returns
+// exactly what DialCluster returns (mkse-client -cloud is a one-partition
+// -cluster, and prints the same scatter → partition → attempt trace tree).
+// The client is three layers: a transport (one lazily redialed,
+// deadline-bounded endpoint per daemon), a router (partition map, one
+// per-partition read routine, one mutate routine, scatter/merge) and a
+// crypto session (enrolment, trapdoor cache, blind decryption). Every
+// exchange with a cloud daemon is bounded by PartitionTimeout, and every
+// read follows the same order: (1) a rotating, lag-probed replica — only
+// for searches, and only if AddReadReplicas registered any, skipping
+// followers that lag beyond MaxReplicaLag; (2) the partition's primary;
+// (3) on a transport failure or a read-only rejection, the promoted
+// survivor among that partition's replicas, retried once; (4) the
+// partition's remaining replicas in order; (5) a typed
+// *cluster.PartialError naming the partition, returned alongside the
+// survivors' merged results. Mutations use steps 2–3 only and never touch
+// a replica.
 //
 // # Automatic failover
 //
@@ -114,9 +127,9 @@
 // (internal/observer) automates the loop: it health-probes the primary,
 // elects the lowest-lag reachable follower after a threshold of
 // consecutive failures, promotes it, and repoints the survivors via a
-// Reconfigure verb; service.Client follows the topology by re-probing its
-// replica set on a primary failure. internal/faultnet injects partitions
-// and stalls for the failure-mode tests. See ARCHITECTURE.md ("Fail over")
+// Reconfigure verb; the client follows the topology on its own, partition
+// by partition (step 3 of its read order). internal/faultnet injects
+// partitions and stalls for the failure-mode tests. See ARCHITECTURE.md ("Fail over")
 // and examples/failover for a runnable kill-and-promote walkthrough.
 //
 // # Query-result caching
@@ -196,7 +209,7 @@
 //     engine and the checkpoint/snapshot format
 //   - internal/qcache — the epoch-invalidated query-result cache
 //   - internal/protocol, internal/service — the three-party TCP deployment,
-//     including the replication stream and the read-balancing client
+//     including the replication stream and the one-path client
 //   - internal/telemetry, internal/buildinfo — the metrics registry, the
 //     /metrics + /healthz + pprof sidecar, and build stamping
 //   - internal/trace — the distributed-tracing core: span contexts,

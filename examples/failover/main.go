@@ -127,7 +127,9 @@ func main() {
 		log.Fatal(err)
 	}
 	defer client.Close()
-	client.AddReadReplicas(followerAddrs...)
+	if err := client.AddReadReplicas(followerAddrs...); err != nil {
+		log.Fatal(err)
+	}
 
 	// --- Kill the primary like a crashed process ---------------------------
 	fmt.Println("killing the primary…")

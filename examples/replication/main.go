@@ -109,7 +109,9 @@ func main() {
 		log.Fatal(err)
 	}
 	defer client.Close()
-	client.AddReadReplicas(replicaAddrs...)
+	if err := client.AddReadReplicas(replicaAddrs...); err != nil {
+		log.Fatal(err)
+	}
 
 	for i := 0; i < 4; i++ {
 		matches, err := client.Search([]string{"encrypted", "cloud"}, 5)

@@ -7,8 +7,11 @@
 package cluster_test
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"math/rand"
+	"net"
 	"sync"
 	"testing"
 	"time"
@@ -18,6 +21,7 @@ import (
 	"mkse/internal/corpus"
 	"mkse/internal/faultnet"
 	"mkse/internal/harness"
+	"mkse/internal/protocol"
 	"mkse/internal/rank"
 	"mkse/internal/service"
 )
@@ -194,6 +198,139 @@ func TestReplicaFallbackServesFullResult(t *testing.T) {
 	}
 	if !found {
 		t.Errorf("dead partition's document %s missing — replica fallback did not serve it", target.ID)
+	}
+}
+
+// A stalled primary must bound a mutation and a fetch exactly as it bounds a
+// search: a typed timeout within the partition budget — not a wait under the
+// client mutex that blocks every other call — and, after the stall lifts,
+// recovery via redial with no intervention.
+func TestStalledPrimaryBoundsMutationAndFetch(t *testing.T) {
+	owner := propertyOwner(t, rank.Levels{1, 5, 10}, 205)
+	f := startFaultCluster(t, owner, 2, 1, harness.Options{}, "stalled-mutation-user")
+	m := f.cfg.Map()
+	var owned []string
+	for _, d := range f.docs {
+		if m.Owner(d.ID) == 1 {
+			owned = append(owned, d.ID)
+		}
+	}
+	if len(owned) < 3 {
+		t.Fatalf("only %d documents hash to partition 1, need 3", len(owned))
+	}
+
+	f.proxy.Stall()
+	bounded := func(name string, call func() error) {
+		t.Helper()
+		done := make(chan error, 1)
+		go func() { done <- call() }()
+		select {
+		case err := <-done:
+			var ne net.Error
+			if !errors.As(err, &ne) || !ne.Timeout() {
+				t.Errorf("%s against a stalled primary: got %v, want a timeout", name, err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s still blocked after 10s: the stalled primary wedged the client", name)
+		}
+	}
+	bounded("delete", func() error { return f.client.Delete(owned[0]) })
+	bounded("retrieve", func() error { _, err := f.client.Retrieve(owned[1]); return err })
+
+	// Healthy partitions stay writable on the same client meanwhile.
+	if err := f.client.Delete(f.ownedBy(t, 0).ID); err != nil {
+		t.Errorf("delete on the healthy partition during the stall: %v", err)
+	}
+
+	// The timed-out delete's bytes may still be delivered once the stall
+	// lifts, so recovery is asserted on documents no stalled request named.
+	f.proxy.Resume()
+	if _, err := f.client.Retrieve(owned[2]); err != nil {
+		t.Errorf("retrieve after stall lifted: %v, want recovery via redial", err)
+	}
+	if err := f.client.Delete(owned[2]); err != nil {
+		t.Errorf("delete after stall lifted: %v, want recovery via redial", err)
+	}
+}
+
+// Failover composed with the cluster: partition 1's primary dies and its
+// follower is promoted without the client being told. The cluster client
+// must follow the promotion — writes land on the new primary, searches
+// report no partial result — and the surviving primaries' merged wire bytes
+// must equal a single-node reference holding the acknowledged writes.
+func TestClusterClientFollowsPartitionFailover(t *testing.T) {
+	owner := propertyOwner(t, rank.Levels{1, 5, 10}, 206)
+	f := startFaultCluster(t, owner, 2, 0, harness.Options{Durable: true, Followers: 1}, "cluster-failover-user")
+	if err := f.clu.WaitConverged(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	ref, err := core.NewServer(owner.Params())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, doc := range f.docs {
+		si, enc, err := owner.Prepare(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ref.Upload(si, enc); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	dead, promoted := f.clu.Primaries[1], f.clu.Followers[1][0]
+	dead.L.Close()
+	dead.Svc.Drain(0)
+	if _, err := service.Promote(promoted.Addr, 1); err != nil {
+		t.Fatalf("promote: %v", err)
+	}
+
+	victim, target := f.ownedBy(t, 1), f.ownedBy(t, 0)
+	if err := f.client.Delete(victim.ID); err != nil {
+		t.Fatalf("delete of a partition-1 document across its failover: %v", err)
+	}
+	if err := ref.Delete(victim.ID); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := promoted.Eng.Server().Fetch(victim.ID); err == nil {
+		t.Error("the delete did not land on the promoted primary")
+	}
+	matches, err := f.client.Search(target.Keywords()[:2], 0)
+	if err != nil {
+		t.Fatalf("search across the failover: %v, want a complete result", err)
+	}
+	found := false
+	for _, mt := range matches {
+		found = found || mt.DocID == target.ID
+		if mt.DocID == victim.ID {
+			t.Errorf("deleted document %s still returned", victim.ID)
+		}
+	}
+	if !found {
+		t.Errorf("target %s missing from the merged result", target.ID)
+	}
+
+	rng := rand.New(rand.NewSource(206))
+	refSvc := &service.CloudService{Server: ref}
+	for qi := 0; qi < 5; qi++ {
+		kw := f.docs[rng.Intn(len(f.docs))].Keywords()
+		req := &protocol.SearchRequest{Query: buildQuery(owner, owner.RandomTrapdoors(), rng, kw[:1+rng.Intn(2)]), TopK: rng.Intn(8)}
+		want, err := refSvc.SearchWire(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var lists [][]protocol.MatchWire
+		for _, svc := range []*service.CloudService{f.clu.Primaries[0].Svc, promoted.Svc} {
+			resp, err := svc.SearchWire(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lists = append(lists, resp.Matches)
+		}
+		merged := cluster.MergeWire(lists, req.TopK)
+		if !bytes.Equal(gobBytes(t, merged), gobBytes(t, want.Matches)) {
+			t.Fatalf("query %d: merged wire bytes across the failover diverge from the single-node reference", qi)
+		}
 	}
 }
 

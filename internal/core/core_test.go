@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/big"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -891,16 +892,21 @@ func TestNewOwnerDeterministicReproducible(t *testing.T) {
 	}
 }
 
+// bookkeepingRuns makes the document ID below fresh on every run: the shared
+// owner remembers keys across `go test -count=N` repetitions.
+var bookkeepingRuns atomic.Int64
+
 func TestDocumentKeyBookkeeping(t *testing.T) {
 	o := sharedOwner(t)
-	doc := &corpus.Document{ID: "bookkeeping", TermFreqs: map[string]int{"k": 1}, Content: []byte("x")}
-	if _, ok := o.DocumentKey("bookkeeping"); ok {
+	id := fmt.Sprintf("bookkeeping-%d", bookkeepingRuns.Add(1))
+	doc := &corpus.Document{ID: id, TermFreqs: map[string]int{"k": 1}, Content: []byte("x")}
+	if _, ok := o.DocumentKey(id); ok {
 		t.Fatal("key present before encryption")
 	}
 	if _, err := o.EncryptDocument(doc); err != nil {
 		t.Fatal(err)
 	}
-	if k, ok := o.DocumentKey("bookkeeping"); !ok || len(k) == 0 {
+	if k, ok := o.DocumentKey(id); !ok || len(k) == 0 {
 		t.Error("key missing after encryption")
 	}
 }

@@ -203,7 +203,9 @@ func replicationPoint(owner *core.Owner, docs []*corpus.Document, indices []*cor
 	for i, f := range fos {
 		addrs[i] = f.addr
 	}
-	client.AddReadReplicas(addrs...)
+	if err := client.AddReadReplicas(addrs...); err != nil {
+		return nil, err
+	}
 	if pt.Fanout, err = runQueries(); err != nil {
 		return nil, err
 	}

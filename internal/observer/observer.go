@@ -16,7 +16,6 @@ package observer
 import (
 	"fmt"
 	"log/slog"
-	"net"
 	"sort"
 	"sync"
 	"time"
@@ -394,22 +393,12 @@ func (o *Observer) retryPending() {
 }
 
 // --- bounded wire helpers ---
-
-// rpc performs one request/response exchange with a hard deadline covering
-// dial, send and receive. Every observer action is bounded: an unresponsive
-// daemon must never wedge the probe loop.
-func (o *Observer) rpc(addr string, m *protocol.Message) (*protocol.Message, error) {
-	conn, err := net.DialTimeout("tcp", addr, o.probeTimeout())
-	if err != nil {
-		return nil, err
-	}
-	defer conn.Close()
-	conn.SetDeadline(time.Now().Add(o.probeTimeout()))
-	return protocol.NewConn(conn).Roundtrip(m)
-}
+//
+// Every observer action goes through protocol.Call under the probe timeout:
+// an unresponsive daemon must never wedge the probe loop.
 
 func (o *Observer) probe(addr string) (*protocol.ReplicaStatusResponse, error) {
-	resp, err := o.rpc(addr, &protocol.Message{ReplicaStatusReq: &protocol.ReplicaStatusRequest{}})
+	resp, err := protocol.Call(addr, &protocol.Message{ReplicaStatusReq: &protocol.ReplicaStatusRequest{}}, o.probeTimeout())
 	if err != nil {
 		return nil, err
 	}
@@ -420,7 +409,7 @@ func (o *Observer) probe(addr string) (*protocol.ReplicaStatusResponse, error) {
 }
 
 func (o *Observer) rpcPromote(addr string, term uint64) (*protocol.PromoteResponse, error) {
-	resp, err := o.rpc(addr, &protocol.Message{PromoteReq: &protocol.PromoteRequest{Term: term}})
+	resp, err := protocol.Call(addr, &protocol.Message{PromoteReq: &protocol.PromoteRequest{Term: term}}, o.probeTimeout())
 	if err != nil {
 		return nil, err
 	}
@@ -431,7 +420,7 @@ func (o *Observer) rpcPromote(addr string, term uint64) (*protocol.PromoteRespon
 }
 
 func (o *Observer) rpcReconfigure(addr, primary string, term uint64) error {
-	resp, err := o.rpc(addr, &protocol.Message{ReconfigureReq: &protocol.ReconfigureRequest{Primary: primary, Term: term}})
+	resp, err := protocol.Call(addr, &protocol.Message{ReconfigureReq: &protocol.ReconfigureRequest{Primary: primary, Term: term}}, o.probeTimeout())
 	if err != nil {
 		return err
 	}

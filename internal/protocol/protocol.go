@@ -14,6 +14,8 @@ import (
 	"fmt"
 	"io"
 	"math/big"
+	"net"
+	"time"
 
 	"mkse/internal/blindrsa"
 	"mkse/internal/core"
@@ -622,6 +624,22 @@ func (c *Conn) Roundtrip(m *Message) (*Message, error) {
 		return nil, &RemoteError{Text: resp.Error.Text, Code: resp.Error.Code}
 	}
 	return resp, nil
+}
+
+// Call is the one-shot exchange: dial addr, send m, read the reply, close.
+// timeout bounds the dial, and then — separately — the send plus receive, so
+// a daemon that accepts and never answers costs the caller at most twice
+// the timeout instead of wedging it.
+func Call(addr string, m *Message, timeout time.Duration) (*Message, error) {
+	conn, err := net.DialTimeout("tcp", addr, timeout)
+	if err != nil {
+		return nil, err
+	}
+	defer conn.Close()
+	if err := conn.SetDeadline(time.Now().Add(timeout)); err != nil {
+		return nil, err
+	}
+	return NewConn(conn).Roundtrip(m)
 }
 
 type frameBuffer struct{ b []byte }

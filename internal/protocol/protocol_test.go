@@ -7,9 +7,11 @@ import (
 	"math/big"
 	"net"
 	"testing"
+	"time"
 
 	"mkse/internal/blindrsa"
 	"mkse/internal/core"
+	"mkse/internal/faultnet"
 	"mkse/internal/rank"
 )
 
@@ -467,5 +469,68 @@ func TestRemoteErrorType(t *testing.T) {
 	var remote *RemoteError
 	if !errors.As(err, &remote) || remote.Text != "nope" {
 		t.Fatalf("want *RemoteError{nope}, got %v", err)
+	}
+}
+
+// serveStats answers every request on l with an empty StatsResponse: the
+// smallest peer Call can complete an exchange with.
+func serveStats(l net.Listener) {
+	for {
+		conn, err := l.Accept()
+		if err != nil {
+			return
+		}
+		go func() {
+			defer conn.Close()
+			pc := NewConn(conn)
+			for {
+				if _, err := pc.Recv(); err != nil {
+					return
+				}
+				if err := pc.Send(&Message{StatsResp: &StatsResponse{}}); err != nil {
+					return
+				}
+			}
+		}()
+	}
+}
+
+// A peer that accepts the connection and never answers — the half-open
+// network a stalled proxy models — must cost Call its timeout, not forever;
+// once the stall lifts the same address answers again.
+func TestCallBoundsTheReadAgainstAStalledPeer(t *testing.T) {
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	go serveStats(l)
+	proxy, err := faultnet.Listen(l.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer proxy.Close()
+
+	req := &Message{StatsReq: &StatsRequest{}}
+	if resp, err := Call(proxy.Addr(), req, time.Second); err != nil || resp.StatsResp == nil {
+		t.Fatalf("call through a healthy proxy: %v", err)
+	}
+
+	proxy.Stall()
+	const timeout = 150 * time.Millisecond
+	start := time.Now()
+	_, err = Call(proxy.Addr(), req, timeout)
+	elapsed := time.Since(start)
+	var ne net.Error
+	if !errors.As(err, &ne) || !ne.Timeout() {
+		t.Fatalf("call against a stalled peer: got %v, want a timeout", err)
+	}
+	if elapsed > 10*timeout {
+		t.Errorf("stalled call took %v, want about %v", elapsed, timeout)
+	}
+
+	proxy.Resume()
+	if _, err := Call(proxy.Addr(), req, time.Second); err != nil {
+		t.Errorf("call after the stall lifted: %v", err)
 	}
 }

@@ -458,7 +458,7 @@ func TestStatsVerbOverTCP(t *testing.T) {
 
 	// The enrolled-client path reports the same view, cache disabled there.
 	d := sharedDeployment(t)
-	client, err := Dial("stats-user", d.ownerAddr, d.cloudAddr)
+	client, err := Dial(freshUser("stats-user"), d.ownerAddr, d.cloudAddr)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,49 +2,31 @@ package service
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math/big"
-	"net"
 	"strconv"
 	"sync"
 	"time"
 
 	"mkse/internal/bitindex"
+	"mkse/internal/cluster"
 	"mkse/internal/core"
 	"mkse/internal/protocol"
 	"mkse/internal/trace"
 )
 
-// DefaultMaxReplicaLag is how many log records a read replica may trail the
-// primary before the client routes its reads back to the primary.
-const DefaultMaxReplicaLag = 1024
-
-// DialTimeout bounds every owner/cloud connection attempt this package
-// makes (Dial, the raw owner-side helpers, replication streams, and the
-// failover verbs), so a black-holed address fails fast instead of hanging
-// for the kernel's connect timeout. Override before dialing.
-var DialTimeout = 5 * time.Second
-
-// replicaDialTimeout bounds connection attempts to read replicas. It is
-// deliberately short — the dial happens on the read path, and the primary
-// is always there to fall back to.
-const replicaDialTimeout = 500 * time.Millisecond
-
-// replicaMaxBench caps the exponential back-off a repeatedly failing
-// replica is benched for between redial attempts.
-const replicaMaxBench = 30 * time.Second
-
 // Client drives the user's side of the full protocol against a remote owner
-// daemon and a remote cloud daemon. It wraps a core.User created during
-// Enroll. A Client serializes its protocol exchanges and is safe for
+// daemon and a partitioned cloud. It wraps a core.User created during
+// enrollment. A Client serializes its protocol exchanges and is safe for
 // concurrent use.
 //
-// A client may additionally be given a set of read replicas
-// (AddReadReplicas): Search and SearchBatch then rotate across the healthy,
-// caught-up followers and fall back to the primary when a replica is down,
-// lagging past MaxReplicaLag, or fails mid-request. Mutations (Delete) and
-// retrievals always go to the primary.
+// There is one client path. A single cloud daemon is a one-partition
+// cluster: Dial builds that topology and returns what DialCluster returns.
+// The client is three layers, one per file: the transport (endpoint.go: one
+// lazily redialed, deadline-bounded connection per daemon), the router
+// (router.go: the partition map, the per-partition read order and mutate
+// routine, scatter-gather and merge) and the crypto session (this file:
+// enrollment, the trapdoor cache, query building and blind decryption).
 type Client struct {
 	UserID string
 
@@ -63,73 +45,75 @@ type Client struct {
 	// before the first search.
 	ReplicaProbeEvery time.Duration
 
-	// PartitionTimeout bounds each partition's share of a scatter-gather
-	// read on a cluster client (0 = DefaultPartitionTimeout). Set before
-	// the first request.
+	// PartitionTimeout bounds each exchange with a cloud daemon — a
+	// partition's share of a scatter-gather read, a routed fetch or delete,
+	// a status probe (0 = DefaultPartitionTimeout). Set before the first
+	// request.
 	PartitionTimeout time.Duration
 
 	// Tracer, when set, samples this client's searches into distributed
-	// traces: the coordinator records the root span, scatter/partition/rpc
-	// children, and grafts in the spans each partition server echoes on its
-	// response — the whole cross-daemon tree assembles client-side. Use
-	// TraceSearch to force-sample one search regardless of the sample rate.
+	// traces: the coordinator records the root span, scatter/partition/
+	// attempt children, and grafts in the spans each partition server echoes
+	// on its response — the whole cross-daemon tree assembles client-side.
+	// Use TraceSearch to force-sample one search regardless of the sample
+	// rate.
 	Tracer *trace.Tracer
 
-	mu        sync.Mutex
-	ownerConn *protocol.Conn
-	cloudConn *protocol.Conn
-	ownerRaw  net.Conn
-	cloudRaw  net.Conn
-	cloudAddr string
-	user      *core.User
+	mu    sync.Mutex
+	owner *endpoint
+	user  *core.User
 
-	replicas []*readReplica
-	rrNext   int
-	reads    map[string]uint64
-
-	// clu is non-nil on a DialCluster client: the partition topology and
-	// one connection set per partition. When set, reads scatter-gather
-	// across every partition and mutations route by document ID.
-	clu *clusterState
+	// The router's state: the topology the client was dialed with and one
+	// partition (primary + replicas) per entry of it.
+	topo  cluster.Config
+	parts []*partition
 }
 
-// readReplica is one follower the client may fan read traffic to.
-type readReplica struct {
-	addr      string
-	conn      *protocol.Conn
-	raw       net.Conn
-	downUntil time.Time // failed recently; no redial before this
-	checkedAt time.Time // last successful status probe
-	lagging   bool      // last probe showed lag beyond the budget
-	fails     int       // consecutive failures, drives the bench back-off
-}
-
-// Dial connects to the owner and cloud daemons and enrolls the user with the
-// data owner, receiving the scheme parameters, the owner's public key and
-// the random-keyword trapdoors.
+// Dial connects to the owner daemon and a single cloud daemon: a
+// one-partition cluster (see DialCluster).
 func Dial(userID, ownerAddr, cloudAddr string) (*Client, error) {
-	oc, err := net.DialTimeout("tcp", ownerAddr, DialTimeout)
-	if err != nil {
+	return DialCluster(userID, ownerAddr, cluster.Config{
+		Partitions: []cluster.Partition{{Primary: cloudAddr}},
+	})
+}
+
+// DialCluster connects to the owner daemon and to every partition primary in
+// the topology, verifies each server's reported partition identity against
+// its position in the config, and enrolls the user with the data owner,
+// receiving the scheme parameters, the owner's public key and the
+// random-keyword trapdoors. The returned Client routes Delete/Retrieve to
+// the partition owning the document ID and fans Search/SearchBatch out to
+// every partition, merging the per-partition top-τ lists into the global
+// order a single-node scan would produce.
+//
+// When a partition's primary cannot be reached mid-request, the client
+// follows a promotion among that partition's replicas, and reads fall back
+// to the replicas themselves (see readPart for the order); if none answers,
+// Search/SearchBatch return the merged results from the surviving
+// partitions alongside a *cluster.PartialError naming the dead ones.
+func DialCluster(userID, ownerAddr string, cfg cluster.Config) (*Client, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	c := &Client{UserID: userID, owner: &endpoint{addr: ownerAddr}}
+	if err := c.owner.dial(DialTimeout); err != nil {
 		return nil, fmt.Errorf("service: dialing owner: %w", err)
 	}
-	cc, err := net.DialTimeout("tcp", cloudAddr, DialTimeout)
+	err := c.dialPartitions(cfg)
+	if err == nil {
+		err = c.enroll()
+	}
 	if err != nil {
-		oc.Close()
-		return nil, fmt.Errorf("service: dialing cloud: %w", err)
-	}
-	c := &Client{
-		UserID:    userID,
-		ownerConn: protocol.NewConn(oc),
-		cloudConn: protocol.NewConn(cc),
-		ownerRaw:  oc,
-		cloudRaw:  cc,
-		cloudAddr: cloudAddr,
-	}
-	if err := c.enroll(); err != nil {
 		c.Close()
 		return nil, err
 	}
 	return c, nil
+}
+
+// ownerCall runs one exchange with the owner daemon, redialing it if an
+// earlier exchange broke the connection.
+func (c *Client) ownerCall(m *protocol.Message) (*protocol.Message, error) {
+	return c.owner.call(m, DialTimeout, 0)
 }
 
 // enroll bootstraps the user. The signature key pair must exist before the
@@ -141,7 +125,7 @@ func (c *Client) enroll() error {
 	if err != nil {
 		return fmt.Errorf("service: generating signature key: %w", err)
 	}
-	resp, err := c.ownerConn.Roundtrip(&protocol.Message{EnrollReq: &protocol.EnrollRequest{
+	resp, err := c.ownerCall(&protocol.Message{EnrollReq: &protocol.EnrollRequest{
 		UserID:  c.UserID,
 		UserPub: protocol.FromPublicKey(signKey.Public()),
 	}})
@@ -177,233 +161,21 @@ func (c *Client) enroll() error {
 // User exposes the underlying core.User (for cost inspection in experiments).
 func (c *Client) User() *core.User { return c.user }
 
-// Close tears down the owner, cloud and replica connections.
+// Close tears down the owner, primary and replica connections. It waits
+// for an exchange in flight, which for the cloud side is bounded by
+// PartitionTimeout.
 func (c *Client) Close() error {
-	var first error
-	if c.ownerRaw != nil {
-		if err := c.ownerRaw.Close(); err != nil {
-			first = err
-		}
-	}
-	if c.cloudRaw != nil {
-		if err := c.cloudRaw.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for _, r := range c.replicas {
-		if r.raw != nil {
-			r.raw.Close()
-			r.raw, r.conn = nil, nil
-		}
-	}
-	if c.clu != nil {
-		for _, p := range c.clu.parts {
-			if p.raw != nil {
-				p.raw.Close()
-				p.raw, p.conn = nil, nil
-			}
-			if p.rraw != nil {
-				p.rraw.Close()
-				p.rraw, p.rconn = nil, nil
+	first := c.owner.drop()
+	for _, p := range c.parts {
+		for _, ep := range append([]*endpoint{p.primary}, p.replicas...) {
+			if err := ep.drop(); err != nil && first == nil {
+				first = err
 			}
 		}
 	}
 	return first
-}
-
-// AddReadReplicas registers follower addresses to fan Search/SearchBatch
-// traffic across. Connections are dialed lazily and re-dialed after
-// failures; an unreachable or lagging replica routes reads back to the
-// primary, with failing replicas benched on an exponential back-off so a
-// dead address costs at most an occasional short dial timeout, not a stall
-// per search.
-func (c *Client) AddReadReplicas(addrs ...string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, a := range addrs {
-		c.replicas = append(c.replicas, &readReplica{addr: a})
-	}
-}
-
-// ReadDistribution reports how many read requests this client has sent to
-// each server, keyed by replica address, plus "primary" for the primary.
-func (c *Client) ReadDistribution() map[string]uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make(map[string]uint64, len(c.reads))
-	for k, v := range c.reads {
-		out[k] = v
-	}
-	return out
-}
-
-// countReadLocked tallies one read against a server for ReadDistribution.
-func (c *Client) countReadLocked(key string) {
-	if c.reads == nil {
-		c.reads = make(map[string]uint64)
-	}
-	c.reads[key]++
-}
-
-// readRoundtrip sends a read request to the next healthy, caught-up
-// replica, falling back to the primary when none qualifies or the chosen
-// replica fails in transit. A *protocol.RemoteError is returned as-is
-// without failover: the server understood the request and rejected it, and
-// every server would. Caller holds c.mu.
-func (c *Client) readRoundtrip(m *protocol.Message) (*protocol.Message, error) {
-	if r := c.pickReplicaLocked(); r != nil {
-		resp, err := r.conn.Roundtrip(m)
-		var remote *protocol.RemoteError
-		if err == nil || errors.As(err, &remote) {
-			c.countReadLocked(r.addr)
-			return resp, err
-		}
-		c.dropReplicaLocked(r)
-	}
-	resp, err := c.primaryRoundtripLocked(m)
-	if err == nil {
-		c.countReadLocked("primary")
-	}
-	return resp, err
-}
-
-// primaryRoundtripLocked sends a request on the primary connection,
-// following the topology when the primary is gone: a transport failure, or
-// a read-only rejection from a daemon that was fenced out of the primary
-// role, triggers one probe of the replica set for the promoted survivor and
-// one retry against it. Ordinary remote rejections pass through untouched —
-// any server would reject those. Caller holds c.mu.
-func (c *Client) primaryRoundtripLocked(m *protocol.Message) (*protocol.Message, error) {
-	resp, err := c.cloudConn.Roundtrip(m)
-	if err == nil {
-		return resp, nil
-	}
-	var remote *protocol.RemoteError
-	if errors.As(err, &remote) && remote.Code != protocol.CodeReadOnly {
-		return nil, err
-	}
-	if ferr := c.followPrimaryLocked(); ferr != nil {
-		return nil, err // the original failure describes the outage best
-	}
-	return c.cloudConn.Roundtrip(m)
-}
-
-// followPrimaryLocked re-discovers the primary after losing it: it probes
-// every known replica address for a durable daemon that no longer calls
-// itself a replica — the promoted survivor — preferring the highest
-// promotion term, and repoints the primary connection there. Caller holds
-// c.mu.
-func (c *Client) followPrimaryLocked() error {
-	var bestAddr string
-	var bestTerm uint64
-	found := false
-	for _, r := range c.replicas {
-		if r.addr == c.cloudAddr {
-			continue
-		}
-		st, err := FetchReplicaStatus(r.addr)
-		if err != nil || !st.Durable || st.Replica {
-			continue
-		}
-		if !found || st.Term > bestTerm {
-			found, bestAddr, bestTerm = true, r.addr, st.Term
-		}
-	}
-	if !found {
-		return errors.New("service: no promoted primary found among the replica set")
-	}
-	raw, err := net.DialTimeout("tcp", bestAddr, DialTimeout)
-	if err != nil {
-		return err
-	}
-	if c.cloudRaw != nil {
-		c.cloudRaw.Close()
-	}
-	c.cloudRaw = raw
-	c.cloudConn = protocol.NewConn(raw)
-	c.cloudAddr = bestAddr
-	return nil
-}
-
-// pickReplicaLocked rotates over the replica set and returns the first one
-// fit to serve a read, or nil to use the primary. Caller holds c.mu.
-func (c *Client) pickReplicaLocked() *readReplica {
-	n := len(c.replicas)
-	for i := 0; i < n; i++ {
-		r := c.replicas[(c.rrNext+i)%n]
-		if c.probeLocked(r) {
-			c.rrNext = (c.rrNext + i + 1) % n
-			return r
-		}
-	}
-	return nil
-}
-
-// probeLocked reports whether a replica is connected and caught up,
-// dialing and status-checking it as needed. Caller holds c.mu.
-func (c *Client) probeLocked(r *readReplica) bool {
-	now := time.Now()
-	if now.Before(r.downUntil) {
-		return false
-	}
-	if r.conn == nil {
-		raw, err := net.DialTimeout("tcp", r.addr, replicaDialTimeout)
-		if err != nil {
-			c.dropReplicaLocked(r)
-			return false
-		}
-		r.raw = raw
-		r.conn = protocol.NewConn(raw)
-		r.checkedAt = time.Time{} // force a status probe on a fresh connection
-	}
-	if now.Sub(r.checkedAt) >= c.probeEvery() {
-		resp, err := r.conn.Roundtrip(&protocol.Message{ReplicaStatusReq: &protocol.ReplicaStatusRequest{}})
-		if err != nil || resp.ReplicaStatusResp == nil {
-			c.dropReplicaLocked(r)
-			return false
-		}
-		st := resp.ReplicaStatusResp
-		r.checkedAt = now
-		r.fails = 0
-		r.lagging = st.PrimaryPosition-st.Position > c.maxLag() || (st.Replica && !st.Connected)
-	}
-	return !r.lagging
-}
-
-// dropReplicaLocked closes a failed replica connection and benches the
-// replica before the next redial, doubling the bench on every consecutive
-// failure (up to replicaMaxBench) so a dead address is retried rarely.
-// Caller holds c.mu.
-func (c *Client) dropReplicaLocked(r *readReplica) {
-	if r.raw != nil {
-		r.raw.Close()
-	}
-	r.raw, r.conn = nil, nil
-	r.lagging = false
-	bench := c.probeEvery() << r.fails
-	if bench > replicaMaxBench || bench <= 0 {
-		bench = replicaMaxBench
-	}
-	if r.fails < 30 {
-		r.fails++
-	}
-	r.downUntil = time.Now().Add(bench)
-}
-
-func (c *Client) maxLag() uint64 {
-	if c.MaxReplicaLag > 0 {
-		return c.MaxReplicaLag
-	}
-	return DefaultMaxReplicaLag
-}
-
-func (c *Client) probeEvery() time.Duration {
-	if c.ReplicaProbeEvery > 0 {
-		return c.ReplicaProbeEvery
-	}
-	return time.Second
 }
 
 // EnsureTrapdoors fetches trapdoor material for any of the given keywords
@@ -430,7 +202,7 @@ func (c *Client) EnsureTrapdoors(words []string) error {
 	if err != nil {
 		return err
 	}
-	resp, err := c.ownerConn.Roundtrip(&protocol.Message{TrapdoorReq: &protocol.TrapdoorRequest{
+	resp, err := c.ownerCall(&protocol.Message{TrapdoorReq: &protocol.TrapdoorRequest{
 		UserID:      c.UserID,
 		BinIDs:      binIDs,
 		WantVectors: c.VectorMode,
@@ -475,7 +247,7 @@ func (c *Client) refreshEnrollmentLocked() error {
 	if err != nil {
 		return err
 	}
-	resp, err := c.ownerConn.Roundtrip(&protocol.Message{RefreshReq: &protocol.RefreshRequest{
+	resp, err := c.ownerCall(&protocol.Message{RefreshReq: &protocol.RefreshRequest{
 		UserID: c.UserID,
 		Sig:    sig,
 	}})
@@ -521,79 +293,54 @@ func (c *Client) TraceSearch(words []string, topK int) ([]Match, []trace.Span, e
 	return c.search(words, topK, true)
 }
 
-// search is the one search path: with a Tracer set the request may be
-// sampled (always, when forced) under a "client:search" root span, and the
-// returned spans are the trace as assembled at the coordinator.
+// startRoot opens the client-side root span of one request when a Tracer is
+// set and samples it (always, when forced).
+func (c *Client) startRoot(name string, force bool) (context.Context, *trace.ActiveSpan) {
+	if c.Tracer == nil {
+		return context.Background(), nil
+	}
+	return c.Tracer.StartRequest(context.Background(), name, force)
+}
+
+// endRoot closes a root span, returning the trace as assembled at the
+// coordinator.
+func endRoot(root *trace.ActiveSpan, err error) []trace.Span {
+	if root == nil {
+		return nil
+	}
+	if err != nil {
+		root.SetAttr("error", err.Error())
+	}
+	root.End()
+	return root.Spans()
+}
+
+// search is the one search path: build the randomized query index, scatter
+// it to every partition, merge. With a Tracer set the request may be
+// sampled (always, when forced) under a "client:search" root span.
 func (c *Client) search(words []string, topK int, force bool) ([]Match, []trace.Span, error) {
 	if err := c.EnsureTrapdoors(words); err != nil {
 		return nil, nil, err
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	ctx := context.Background()
-	var root *trace.ActiveSpan
-	if c.Tracer != nil {
-		ctx, root = c.Tracer.StartRequest(ctx, "client:search", force)
+	ctx, root := c.startRoot("client:search", force)
+	if root != nil {
 		root.SetAttr("keywords", strconv.Itoa(len(words)))
 		root.SetAttr("topk", strconv.Itoa(topK))
 	}
-	out, err := c.searchLocked(ctx, words, topK)
-	var spans []trace.Span
-	if root != nil {
-		if err != nil {
-			root.SetAttr("error", err.Error())
-		}
-		root.End()
-		spans = root.Spans()
-	}
-	return out, spans, err
-}
-
-// searchLocked runs one search under an (optionally traced) context: the
-// cluster scatter-gather, or the single-server round trip with an "rpc"
-// span carrying the propagation context and importing the server's echoed
-// spans. Caller holds c.mu.
-func (c *Client) searchLocked(ctx context.Context, words []string, topK int) ([]Match, error) {
+	var out []Match
 	q, err := c.user.BuildQuery(words)
-	if err != nil {
-		return nil, err
+	if err == nil {
+		out, err = c.scatterSearch(ctx, marshalVector(q), topK)
 	}
-	if c.clu != nil {
-		return c.clusterSearchLocked(ctx, marshalVector(q), topK)
-	}
-	m := &protocol.Message{SearchReq: &protocol.SearchRequest{
-		Query: marshalVector(q),
-		TopK:  topK,
-	}}
-	rctx, sp := trace.Start(ctx, "rpc")
-	if sp != nil {
-		m.Trace = traceCtxToWire(sp.Context())
-	}
-	resp, err := c.readRoundtrip(m)
-	if sp != nil {
-		if err != nil {
-			sp.SetAttr("error", err.Error())
-		} else {
-			trace.Import(rctx, spansFromWire(sp.TraceID(), resp.Spans))
-		}
-		sp.End()
-	}
-	if err != nil {
-		return nil, fmt.Errorf("service: search: %w", err)
-	}
-	if resp.SearchResp == nil {
-		return nil, fmt.Errorf("service: search response missing")
-	}
-	out := make([]Match, len(resp.SearchResp.Matches))
-	for i, m := range resp.SearchResp.Matches {
-		out[i] = Match{DocID: m.DocID, Rank: m.Rank}
-	}
-	return out, nil
+	return out, endRoot(root, err), err
 }
 
 // SearchBatch builds one randomized query index per keyword set and submits
-// them all in a single round trip; the cloud evaluates the batch in one
-// sharded pass. Result i corresponds to queries[i], each truncated to topK.
+// them all in a single round trip per partition; each cloud daemon
+// evaluates the batch in one sharded pass. Result i corresponds to
+// queries[i], each truncated to topK.
 func (c *Client) SearchBatch(queries [][]string, topK int) ([][]Match, error) {
 	if len(queries) == 0 {
 		return nil, nil
@@ -611,63 +358,14 @@ func (c *Client) SearchBatch(queries [][]string, topK int) ([][]Match, error) {
 		}
 		wire[i] = marshalVector(q)
 	}
-	ctx := context.Background()
-	var root *trace.ActiveSpan
-	if c.Tracer != nil {
-		ctx, root = c.Tracer.StartRequest(ctx, "client:searchbatch", false)
+	ctx, root := c.startRoot("client:searchbatch", false)
+	if root != nil {
 		root.SetAttr("queries", strconv.Itoa(len(queries)))
 		root.SetAttr("topk", strconv.Itoa(topK))
 	}
-	if c.clu != nil {
-		out, err := c.clusterSearchBatchLocked(ctx, wire, topK)
-		if root != nil {
-			if err != nil {
-				root.SetAttr("error", err.Error())
-			}
-			root.End()
-		}
-		return out, err
-	}
-	m := &protocol.Message{SearchBatchReq: &protocol.SearchBatchRequest{
-		Queries: wire,
-		TopK:    topK,
-	}}
-	rctx, sp := trace.Start(ctx, "rpc")
-	if sp != nil {
-		m.Trace = traceCtxToWire(sp.Context())
-	}
-	resp, err := c.readRoundtrip(m)
-	if sp != nil {
-		if err != nil {
-			sp.SetAttr("error", err.Error())
-		} else {
-			trace.Import(rctx, spansFromWire(sp.TraceID(), resp.Spans))
-		}
-		sp.End()
-	}
-	if root != nil {
-		if err != nil {
-			root.SetAttr("error", err.Error())
-		}
-		root.End()
-	}
-	if err != nil {
-		return nil, fmt.Errorf("service: batch search: %w", err)
-	}
-	if resp.SearchBatchResp == nil {
-		return nil, fmt.Errorf("service: batch search response missing")
-	}
-	if got := len(resp.SearchBatchResp.Results); got != len(queries) {
-		return nil, fmt.Errorf("service: batch search returned %d result sets for %d queries", got, len(queries))
-	}
-	out := make([][]Match, len(queries))
-	for qi, ms := range resp.SearchBatchResp.Results {
-		out[qi] = make([]Match, len(ms))
-		for i, m := range ms {
-			out[qi][i] = Match{DocID: m.DocID, Rank: m.Rank}
-		}
-	}
-	return out, nil
+	out, err := c.scatterSearchBatch(ctx, wire, topK)
+	endRoot(root, err)
+	return out, err
 }
 
 // KeywordUnion deduplicates the keywords of a query batch, so a word shared
@@ -694,13 +392,7 @@ func (c *Client) Retrieve(docID string) ([]byte, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	fetch := &protocol.Message{FetchReq: &protocol.FetchRequest{DocID: docID}}
-	var resp *protocol.Message
-	var err error
-	if c.clu != nil {
-		resp, _, err = c.readPart(context.Background(), c.clusterOwnerLocked(docID), fetch)
-	} else {
-		resp, err = c.primaryRoundtripLocked(fetch)
-	}
+	resp, _, err := c.readPart(context.Background(), c.owning(docID), fetch, false)
 	if err != nil {
 		return nil, fmt.Errorf("service: fetch: %w", err)
 	}
@@ -718,7 +410,7 @@ func (c *Client) Retrieve(docID string) ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		r, err := c.ownerConn.Roundtrip(&protocol.Message{BlindDecryptReq: &protocol.BlindDecryptRequest{
+		r, err := c.ownerCall(&protocol.Message{BlindDecryptReq: &protocol.BlindDecryptRequest{
 			UserID: c.UserID,
 			Z:      zb,
 			Sig:    sig,
@@ -733,182 +425,43 @@ func (c *Client) Retrieve(docID string) ([]byte, error) {
 	})
 }
 
-// Stats fetches the cloud daemon's operational counters — document and
-// shard counts, mutation epoch, WAL position and replication lag, and the
-// query-result cache counters — in one round trip. It always asks the
-// primary, whose answer describes the server this client mutates.
+// Stats fetches the cloud's operational counters in one round trip per
+// partition and folds them into one view (see AggregateClusterStats): for a
+// single daemon that is its own document and shard counts, mutation epoch,
+// WAL position and replication lag, and query-result cache counters. It
+// asks each partition's primary first, whose answer describes the server
+// this client mutates.
 func (c *Client) Stats() (*protocol.StatsResponse, error) {
+	parts, err := c.ClusterStats()
+	if err != nil {
+		return nil, err
+	}
+	return AggregateClusterStats(parts), nil
+}
+
+// ClusterStats fetches one StatsResponse per partition, in partition order,
+// falling back to replicas for unreachable primaries. When partitions are
+// missing entirely, the surviving entries are returned (nil at the failed
+// indices) alongside a *cluster.PartialError.
+func (c *Client) ClusterStats() ([]*protocol.StatsResponse, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.clu != nil {
-		parts, err := c.clusterStatsLocked()
-		if err != nil {
-			return nil, err
-		}
-		return aggregateStats(parts), nil
-	}
-	resp, err := c.primaryRoundtripLocked(&protocol.Message{StatsReq: &protocol.StatsRequest{}})
-	if err != nil {
-		return nil, fmt.Errorf("service: stats: %w", err)
-	}
-	if resp.StatsResp == nil {
-		return nil, fmt.Errorf("service: stats response missing")
-	}
-	return resp.StatsResp, nil
+	return c.scatterStats()
 }
 
-// FetchStats asks any cloud daemon (primary or follower) for its
-// operational counters without enrolling a user — the operator's one-shot
-// introspection path, mirroring UploadAll/DeleteAll's raw dials.
-func FetchStats(cloudAddr string) (*protocol.StatsResponse, error) {
-	conn, err := net.DialTimeout("tcp", cloudAddr, DialTimeout)
-	if err != nil {
-		return nil, fmt.Errorf("service: dialing cloud: %w", err)
-	}
-	defer conn.Close()
-	resp, err := protocol.NewConn(conn).Roundtrip(&protocol.Message{StatsReq: &protocol.StatsRequest{}})
-	if err != nil {
-		return nil, fmt.Errorf("service: stats: %w", err)
-	}
-	if resp.StatsResp == nil {
-		return nil, fmt.Errorf("service: stats response missing")
-	}
-	return resp.StatsResp, nil
-}
-
-// Delete asks the cloud daemon to remove a document. In the paper's model
-// removal is the data owner's act; the client method exists for deployments
-// where the owner drives the cloud through the same connection pair.
+// Delete asks the cloud daemon owning the document to remove it. In the
+// paper's model removal is the data owner's act; the client method exists
+// for deployments where the owner drives the cloud through the same
+// connection pair.
 func (c *Client) Delete(docID string) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	del := &protocol.Message{DeleteReq: &protocol.DeleteRequest{DocID: docID}}
-	var resp *protocol.Message
-	var err error
-	if c.clu != nil {
-		resp, err = c.clusterMutateLocked(docID, del)
-	} else {
-		resp, err = c.primaryRoundtripLocked(del)
-	}
+	resp, err := c.askPrimary(context.Background(), c.owning(docID), &protocol.Message{DeleteReq: &protocol.DeleteRequest{DocID: docID}})
 	if err != nil {
 		return fmt.Errorf("service: delete: %w", err)
 	}
 	if resp.DeleteResp == nil {
 		return fmt.Errorf("service: delete response missing")
-	}
-	return nil
-}
-
-// DeleteAll removes documents from the cloud daemon by ID — the owner-side
-// retraction mirroring UploadAll.
-func DeleteAll(cloudAddr string, docIDs []string) error {
-	conn, err := net.DialTimeout("tcp", cloudAddr, DialTimeout)
-	if err != nil {
-		return fmt.Errorf("service: dialing cloud: %w", err)
-	}
-	defer conn.Close()
-	pc := protocol.NewConn(conn)
-	for _, id := range docIDs {
-		resp, err := pc.Roundtrip(&protocol.Message{DeleteReq: &protocol.DeleteRequest{DocID: id}})
-		if err != nil {
-			return fmt.Errorf("service: deleting %q: %w", id, err)
-		}
-		if resp.DeleteResp == nil {
-			return fmt.Errorf("service: delete response missing for %q", id)
-		}
-	}
-	return nil
-}
-
-// UploadAll pushes prepared documents from the owner to the cloud daemon —
-// the owner-side upload of Figure 1's offline stage.
-func UploadAll(cloudAddr string, items []UploadItem) error {
-	conn, err := net.DialTimeout("tcp", cloudAddr, DialTimeout)
-	if err != nil {
-		return fmt.Errorf("service: dialing cloud: %w", err)
-	}
-	defer conn.Close()
-	pc := protocol.NewConn(conn)
-	for _, it := range items {
-		levels := make([][]byte, len(it.Index.Levels))
-		for i, l := range it.Index.Levels {
-			levels[i] = marshalVector(l)
-		}
-		resp, err := pc.Roundtrip(&protocol.Message{UploadReq: &protocol.UploadRequest{
-			DocID:      it.Index.DocID,
-			Levels:     levels,
-			Ciphertext: it.Doc.Ciphertext,
-			EncKey:     it.Doc.EncKey,
-		}})
-		if err != nil {
-			return fmt.Errorf("service: uploading %q: %w", it.Index.DocID, err)
-		}
-		if resp.UploadResp == nil {
-			return fmt.Errorf("service: upload response missing for %q", it.Index.DocID)
-		}
-	}
-	return nil
-}
-
-// UploadItem pairs a search index with its encrypted document.
-type UploadItem struct {
-	Index *core.SearchIndex
-	Doc   *core.EncryptedDocument
-}
-
-// FetchReplicaStatus asks any cloud daemon where it stands in the
-// replicated log — position, term, role, and connected followers — in one
-// raw round trip.
-func FetchReplicaStatus(cloudAddr string) (*protocol.ReplicaStatusResponse, error) {
-	conn, err := net.DialTimeout("tcp", cloudAddr, DialTimeout)
-	if err != nil {
-		return nil, fmt.Errorf("service: dialing cloud: %w", err)
-	}
-	defer conn.Close()
-	resp, err := protocol.NewConn(conn).Roundtrip(&protocol.Message{ReplicaStatusReq: &protocol.ReplicaStatusRequest{}})
-	if err != nil {
-		return nil, fmt.Errorf("service: replica status: %w", err)
-	}
-	if resp.ReplicaStatusResp == nil {
-		return nil, fmt.Errorf("service: replica status response missing")
-	}
-	return resp.ReplicaStatusResp, nil
-}
-
-// Promote asks the daemon at cloudAddr to become primary at the given
-// promotion term (see protocol.PromoteRequest). The term must exceed the
-// daemon's current one; retries of the same term are idempotent.
-func Promote(cloudAddr string, term uint64) (*protocol.PromoteResponse, error) {
-	conn, err := net.DialTimeout("tcp", cloudAddr, DialTimeout)
-	if err != nil {
-		return nil, fmt.Errorf("service: dialing cloud: %w", err)
-	}
-	defer conn.Close()
-	resp, err := protocol.NewConn(conn).Roundtrip(&protocol.Message{PromoteReq: &protocol.PromoteRequest{Term: term}})
-	if err != nil {
-		return nil, fmt.Errorf("service: promote: %w", err)
-	}
-	if resp.PromoteResp == nil {
-		return nil, fmt.Errorf("service: promote response missing")
-	}
-	return resp.PromoteResp, nil
-}
-
-// Reconfigure repoints the daemon at cloudAddr to follow primaryAddr (or
-// detaches it into standalone mode when primaryAddr is empty), authenticated
-// by the promotion term of the failover that motivated it.
-func Reconfigure(cloudAddr, primaryAddr string, term uint64) error {
-	conn, err := net.DialTimeout("tcp", cloudAddr, DialTimeout)
-	if err != nil {
-		return fmt.Errorf("service: dialing cloud: %w", err)
-	}
-	defer conn.Close()
-	resp, err := protocol.NewConn(conn).Roundtrip(&protocol.Message{ReconfigureReq: &protocol.ReconfigureRequest{Primary: primaryAddr, Term: term}})
-	if err != nil {
-		return fmt.Errorf("service: reconfigure: %w", err)
-	}
-	if resp.ReconfigureResp == nil {
-		return fmt.Errorf("service: reconfigure response missing")
 	}
 	return nil
 }

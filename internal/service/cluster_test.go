@@ -2,7 +2,9 @@ package service
 
 import (
 	"errors"
+	"fmt"
 	"net"
+	"sort"
 	"strings"
 	"testing"
 
@@ -11,6 +13,7 @@ import (
 	"mkse/internal/corpus"
 	"mkse/internal/protocol"
 	"mkse/internal/rank"
+	"mkse/internal/trace"
 )
 
 // clusterDeployment is a P-partition loopback topology with an owner daemon:
@@ -158,44 +161,122 @@ func TestDialClusterRejectsSwappedTopology(t *testing.T) {
 
 // A single-node deployment keeps working through DialCluster even when the
 // server was started without -partition: a P=1 topology routes trivially.
+// And because Dial is DialCluster over one partition, the two clients must
+// be indistinguishable: same matches, same span-tree shape.
 func TestDialClusterToleratesUnpartitionedSingleNode(t *testing.T) {
-	p := core.DefaultParams().WithLevels(rank.Levels{1, 5, 10})
-	p.Bins = 64
-	owner, err := core.NewOwner(p, 43)
-	if err != nil {
-		t.Fatal(err)
-	}
-	server, err := core.NewServer(p)
+	d := newClusterDeployment(t, 1)
+	server, err := core.NewServer(d.owner.Params())
 	if err != nil {
 		t.Fatal(err)
 	}
 	svc := &CloudService{Server: server} // no cluster identity at all
 	cloudAddr := serveLoopback(t, svc.Serve)
-	ownerAddr := serveLoopback(t, (&OwnerService{Owner: owner}).Serve)
+	if err := UploadAll(cloudAddr, d.items); err != nil {
+		t.Fatal(err)
+	}
 
 	cfg := cluster.Config{Partitions: []cluster.Partition{{Primary: cloudAddr}}}
-	client, err := DialCluster("solo-user", ownerAddr, cfg)
+	viaCluster, err := DialCluster("solo-user", d.ownerAddr, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer client.Close()
-	st, err := client.Stats()
+	defer viaCluster.Close()
+	st, err := viaCluster.Stats()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Partitions != 1 {
-		t.Errorf("aggregate stats count %d partitions, want 1", st.Partitions)
+	if st.Partitions != 1 || st.NumDocuments != len(d.items) {
+		t.Errorf("aggregate stats count %d partitions / %d documents, want 1 / %d", st.Partitions, st.NumDocuments, len(d.items))
+	}
+
+	viaDial, err := Dial("solo-user-dial", d.ownerAddr, cloudAddr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer viaDial.Close()
+	if got := viaDial.ClusterConfig().String(); got != cfg.String() {
+		t.Errorf("Dial built topology %q, want the one-partition %q", got, cfg.String())
+	}
+	// Decoys differ per query, so a false accept may differ between the two
+	// clients; the documents that genuinely hold both keywords may not.
+	words := d.docs[3].Keywords()[:2]
+	genuine := func(ms []Match) string {
+		var out []Match
+		for _, m := range ms {
+			for _, doc := range d.docs {
+				if doc.ID == m.DocID && doc.TermFreqs[words[0]] > 0 && doc.TermFreqs[words[1]] > 0 {
+					out = append(out, m)
+				}
+			}
+		}
+		return fmt.Sprint(out)
+	}
+	shape := func(spans []trace.Span) string {
+		names := map[uint64]string{}
+		for _, sp := range spans {
+			names[sp.ID] = sp.Name
+		}
+		var edges []string
+		for _, sp := range spans {
+			edges = append(edges, names[sp.Parent]+">"+sp.Name)
+		}
+		sort.Strings(edges)
+		return strings.Join(edges, " ")
+	}
+	viaCluster.Tracer = trace.New("client", 0, nil)
+	viaDial.Tracer = trace.New("client", 0, nil)
+	cm, cs, err := viaCluster.TraceSearch(words, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dm, ds, err := viaDial.TraceSearch(words, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if genuine(cm) != genuine(dm) || !strings.Contains(genuine(dm), d.docs[3].ID) {
+		t.Errorf("Dial and DialCluster(P=1) disagree on the genuine matches:\n dial    %v\n cluster %v", dm, cm)
+	}
+	const wantShape = ">client:search client:search>scatter partition>attempt scatter>partition"
+	if shape(cs) != wantShape || shape(ds) != wantShape {
+		t.Errorf("span trees differ from %q:\n dial    %s\n cluster %s", wantShape, shape(ds), shape(cs))
 	}
 
 	// The same unpartitioned server in a P=2 topology must be refused.
 	bad := cluster.Config{Partitions: []cluster.Partition{{Primary: cloudAddr}, {Primary: cloudAddr}}}
-	if _, err := DialCluster("solo-user-2", ownerAddr, bad); err == nil {
+	if _, err := DialCluster("solo-user-2", d.ownerAddr, bad); err == nil {
 		t.Error("DialCluster accepted an identity-less server in a multi-partition topology")
 	}
 }
 
+// A bare address list cannot say which partition a follower replicates, so
+// AddReadReplicas on a multi-partition client must be rejected — and must
+// leave the router untouched — rather than misroute reads to a server
+// holding another partition's slice.
+func TestAddReadReplicasRejectedOnMultiPartitionClient(t *testing.T) {
+	d := newClusterDeployment(t, 2)
+	if err := UploadAllCluster(d.cfg, d.items); err != nil {
+		t.Fatal(err)
+	}
+	client, err := DialCluster("misuse-user", d.ownerAddr, d.cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	if err := client.AddReadReplicas(d.cfg.Partitions[0].Primary); err == nil {
+		t.Fatal("AddReadReplicas accepted a bare address on a 2-partition client")
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := client.Search(d.docs[0].Keywords()[:1], 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if dist := client.ReadDistribution(); len(dist) != 1 || dist["primary"] != 6 {
+		t.Errorf("read distribution %v, want all 6 partition reads on the primaries", dist)
+	}
+}
+
 func TestAggregateStats(t *testing.T) {
-	agg := aggregateStats([]*protocol.StatsResponse{
+	agg := AggregateClusterStats([]*protocol.StatsResponse{
 		{NumDocuments: 3, NumShards: 2, Durable: true},
 		nil, // a failed partition contributes nothing
 		{NumDocuments: 4, NumShards: 2, Durable: false},

@@ -9,7 +9,9 @@ import (
 	"time"
 
 	"mkse/internal/core"
+	"mkse/internal/corpus"
 	"mkse/internal/durable"
+	"mkse/internal/faultnet"
 	"mkse/internal/protocol"
 	"mkse/internal/rank"
 )
@@ -151,32 +153,34 @@ func TestStaleSubscriberFencesDeposedPrimary(t *testing.T) {
 	}
 }
 
-func TestClientFollowsPromotion(t *testing.T) {
+// startFollowedPrimary is the topology of the promotion-following tests: a
+// durable primary holding a small owner-indexed corpus, one converged
+// follower, and an owner daemon to enroll with.
+func startFollowedPrimary(t *testing.T, seed int64) (pr *replPrimary, fo *replFollower, ownerAddr string, docs []*corpus.Document, items []UploadItem) {
+	t.Helper()
 	p := core.DefaultParams().WithLevels(rank.Levels{1, 5, 10})
 	p.Bins = 64
-	owner, err := core.NewOwner(p, 48)
+	owner, err := core.NewOwner(p, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pr := startReplPrimary(t, p, t.TempDir())
-	docs, items, err := corpusDocsFor(owner, 12)
+	pr = startReplPrimary(t, p, t.TempDir())
+	docs, items, err = corpusDocsFor(owner, 12)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := UploadAll(pr.addr, items); err != nil {
 		t.Fatal(err)
 	}
-	fo := startReplFollower(t, p, t.TempDir(), pr.addr)
+	fo = startReplFollower(t, p, t.TempDir(), pr.addr)
 	waitConverged(t, pr.eng, fo.eng)
+	return pr, fo, serveLoopback(t, (&OwnerService{Owner: owner}).Serve), docs, items
+}
 
-	ownerL, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ownerL.Close()
-	go func() { _ = (&OwnerService{Owner: owner}).Serve(ownerL) }()
+func TestClientFollowsPromotion(t *testing.T) {
+	pr, fo, ownerAddr, docs, items := startFollowedPrimary(t, 48)
 
-	client, err := Dial("failover-user", ownerL.Addr().String(), pr.addr)
+	client, err := Dial("failover-user", ownerAddr, pr.addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,6 +212,54 @@ func TestClientFollowsPromotion(t *testing.T) {
 	}
 	if st.Term != 1 {
 		t.Fatalf("client sees term %d after failover, want 1", st.Term)
+	}
+}
+
+// A replica that accepts connections and never answers must cost the
+// follow-promotion probe its timeout, not wedge the client — the probe runs
+// under the client mutex. The write fails within the budget, and once the
+// stall lifts and the follower is promoted the same client writes through it.
+func TestFollowPromotionBoundedByStalledReplica(t *testing.T) {
+	pr, fo, ownerAddr, _, items := startFollowedPrimary(t, 49)
+	proxy, err := faultnet.Listen(fo.addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer proxy.Close()
+
+	client, err := Dial("stalled-follow-user", ownerAddr, pr.addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	client.PartitionTimeout = 200 * time.Millisecond
+	if err := client.AddReadReplicas(proxy.Addr()); err != nil {
+		t.Fatal(err)
+	}
+
+	pr.kill()
+	proxy.Stall()
+	victim := items[0].Doc.ID
+	done := make(chan error, 1)
+	go func() { done <- client.Delete(victim) }()
+	select {
+	case err := <-done:
+		if err == nil {
+			t.Fatal("delete succeeded with the primary dead and the only replica stalled")
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("delete still blocked after 10s: the stalled replica wedged the client")
+	}
+
+	proxy.Resume()
+	if _, err := Promote(fo.addr, 1); err != nil {
+		t.Fatalf("promote: %v", err)
+	}
+	if err := client.Delete(victim); err != nil {
+		t.Fatalf("delete after the stall lifted and the follower was promoted: %v", err)
+	}
+	if got := fo.eng.Server().NumDocuments(); got != len(items)-1 {
+		t.Fatalf("new primary has %d documents after delete, want %d", got, len(items)-1)
 	}
 }
 

@@ -282,6 +282,9 @@ func TestReplicaCrashDuringCatchUpRecovers(t *testing.T) {
 	for eng.Position() < 20 && time.Now().Before(deadline) {
 		time.Sleep(100 * time.Microsecond)
 	}
+	// Close waits for the stream goroutine, so the position read after it
+	// is final; read before, one more record can land in between.
+	rep.Close()
 	killedAt := eng.Position()
 	if killedAt == 0 {
 		t.Fatal("follower never started applying")
@@ -289,7 +292,6 @@ func TestReplicaCrashDuringCatchUpRecovers(t *testing.T) {
 	if killedAt >= pr.eng.Position() {
 		t.Fatalf("follower caught up (%d) before the kill; the drip throttle failed", killedAt)
 	}
-	rep.Close()
 	if err := eng.Sync(); err != nil {
 		t.Fatal(err)
 	}
@@ -493,16 +495,16 @@ func corpusDocsFor(owner *core.Owner, n int) ([]*corpus.Document, []UploadItem, 
 }
 
 // clientSearchVia runs one search forced to the primary by temporarily
-// emptying the replica set.
+// emptying the read rotation.
 func clientSearchVia(t *testing.T, c *Client, words []string, topK int) ([]Match, error) {
 	t.Helper()
 	c.mu.Lock()
-	saved := c.replicas
-	c.replicas = nil
+	saved := c.parts[0].rotation
+	c.parts[0].rotation = nil
 	c.mu.Unlock()
 	defer func() {
 		c.mu.Lock()
-		c.replicas = saved
+		c.parts[0].rotation = saved
 		c.mu.Unlock()
 	}()
 	return c.Search(words, topK)

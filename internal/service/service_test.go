@@ -2,9 +2,11 @@ package service
 
 import (
 	"bytes"
+	"fmt"
 	"net"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"mkse/internal/core"
@@ -32,7 +34,7 @@ var (
 )
 
 // sharedDeployment builds one deployment for the whole test package; tests
-// that mutate state use distinct user IDs and documents.
+// that mutate state use distinct documents, and enroll under freshUser IDs.
 func sharedDeployment(t *testing.T) *deployment {
 	deployOnce.Do(func() {
 		deployVal, deployErr = newDeployment()
@@ -41,6 +43,15 @@ func sharedDeployment(t *testing.T) *deployment {
 		t.Fatal(deployErr)
 	}
 	return deployVal
+}
+
+// userSeq numbers the users enrolled with the shared owner: it survives
+// across `go test -count=N` repetitions, so a fixed ID would collide with
+// its own earlier run.
+var userSeq atomic.Int64
+
+func freshUser(base string) string {
+	return fmt.Sprintf("%s-%d", base, userSeq.Add(1))
 }
 
 func newDeployment() (*deployment, error) {
@@ -97,7 +108,7 @@ func newDeployment() (*deployment, error) {
 
 func TestFullProtocolOverTCP(t *testing.T) {
 	d := sharedDeployment(t)
-	client, err := Dial("tcp-alice", d.ownerAddr, d.cloudAddr)
+	client, err := Dial(freshUser("tcp-alice"), d.ownerAddr, d.cloudAddr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +144,7 @@ func TestFullProtocolOverTCP(t *testing.T) {
 
 func TestSearchTopKOverTCP(t *testing.T) {
 	d := sharedDeployment(t)
-	client, err := Dial("tcp-bob", d.ownerAddr, d.cloudAddr)
+	client, err := Dial(freshUser("tcp-bob"), d.ownerAddr, d.cloudAddr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +168,7 @@ func TestSearchTopKOverTCP(t *testing.T) {
 
 func TestTrapdoorCaching(t *testing.T) {
 	d := sharedDeployment(t)
-	client, err := Dial("tcp-carol", d.ownerAddr, d.cloudAddr)
+	client, err := Dial(freshUser("tcp-carol"), d.ownerAddr, d.cloudAddr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,12 +189,13 @@ func TestTrapdoorCaching(t *testing.T) {
 
 func TestDuplicateEnrollmentRejected(t *testing.T) {
 	d := sharedDeployment(t)
-	c1, err := Dial("tcp-dup", d.ownerAddr, d.cloudAddr)
+	dup := freshUser("tcp-dup")
+	c1, err := Dial(dup, d.ownerAddr, d.cloudAddr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c1.Close()
-	if _, err := Dial("tcp-dup", d.ownerAddr, d.cloudAddr); err == nil {
+	if _, err := Dial(dup, d.ownerAddr, d.cloudAddr); err == nil {
 		t.Error("second enrollment under the same user ID accepted")
 	}
 }
@@ -193,7 +205,8 @@ func TestDuplicateEnrollmentRejected(t *testing.T) {
 func TestForgedTrapdoorRequestRejected(t *testing.T) {
 	d := sharedDeployment(t)
 	// Enroll a legitimate user.
-	victim, err := Dial("tcp-victim", d.ownerAddr, d.cloudAddr)
+	victimID := freshUser("tcp-victim")
+	victim, err := Dial(victimID, d.ownerAddr, d.cloudAddr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,12 +225,12 @@ func TestForgedTrapdoorRequestRejected(t *testing.T) {
 	defer conn.Close()
 	pc := protocol.NewConn(conn)
 	binIDs := []int{1, 2}
-	sig, err := malloryKey.Sign(protocol.SignableTrapdoor("tcp-victim", binIDs))
+	sig, err := malloryKey.Sign(protocol.SignableTrapdoor(victimID, binIDs))
 	if err != nil {
 		t.Fatal(err)
 	}
 	_, err = pc.Roundtrip(&protocol.Message{TrapdoorReq: &protocol.TrapdoorRequest{
-		UserID: "tcp-victim",
+		UserID: victimID,
 		BinIDs: binIDs,
 		Sig:    sig,
 	}})
@@ -251,7 +264,7 @@ func TestUnenrolledUserRejected(t *testing.T) {
 
 func TestFetchUnknownDocumentOverTCP(t *testing.T) {
 	d := sharedDeployment(t)
-	client, err := Dial("tcp-erin", d.ownerAddr, d.cloudAddr)
+	client, err := Dial(freshUser("tcp-erin"), d.ownerAddr, d.cloudAddr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,7 +342,7 @@ func TestVectorModeOverTCP(t *testing.T) {
 	}
 	d.owner.RegisterDictionary(dict)
 
-	client, err := Dial("tcp-vector", d.ownerAddr, d.cloudAddr)
+	client, err := Dial(freshUser("tcp-vector"), d.ownerAddr, d.cloudAddr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -434,7 +447,7 @@ func TestCloudRestartFromSnapshot(t *testing.T) {
 	defer l.Close()
 	go func() { _ = (&CloudService{Server: restored}).Serve(l) }()
 
-	client, err := Dial("tcp-restart", d.ownerAddr, l.Addr().String())
+	client, err := Dial(freshUser("tcp-restart"), d.ownerAddr, l.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -472,7 +485,7 @@ func TestConcurrentClients(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			client, err := Dial("tcp-conc-"+string(rune('a'+i)), d.ownerAddr, d.cloudAddr)
+			client, err := Dial(freshUser("tcp-conc"), d.ownerAddr, d.cloudAddr)
 			if err != nil {
 				errs <- err
 				return
@@ -504,7 +517,7 @@ func TestConcurrentClients(t *testing.T) {
 // calls, in one round trip.
 func TestSearchBatchOverTCP(t *testing.T) {
 	d := sharedDeployment(t)
-	client, err := Dial("tcp-batch", d.ownerAddr, d.cloudAddr)
+	client, err := Dial(freshUser("tcp-batch"), d.ownerAddr, d.cloudAddr)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -242,55 +242,27 @@ func loadBody(br *bufio.Reader, mk func(core.Params) (*core.Server, error)) (*co
 	return srv, nil
 }
 
-// SaveFile writes a V1 snapshot to path atomically (write temp + rename).
-func SaveFile(path string, srv Exporter) error {
-	return saveFileAs(path, func(f *os.File) error { return Save(f, srv) })
-}
-
 // SaveCheckpointFile writes a V3 checkpoint to path atomically, fsyncing the
 // file before the rename so a crash cannot leave a live checkpoint name
 // pointing at partial data.
 func SaveCheckpointFile(path string, srv Exporter, meta CheckpointMeta) error {
-	return saveFileAs(path, func(f *os.File) error {
-		if err := SaveCheckpoint(f, srv, meta); err != nil {
-			return err
-		}
-		return f.Sync()
-	})
-}
-
-func saveFileAs(path string, write func(*os.File) error) error {
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
 	if err != nil {
 		return err
 	}
-	if err := write(f); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
+	err = SaveCheckpoint(f, srv, meta)
+	if err == nil {
+		err = f.Sync()
 	}
-	if err := f.Close(); err != nil {
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
 		os.Remove(tmp)
 		return err
 	}
 	return os.Rename(tmp, path)
-}
-
-// LoadFile reads a snapshot from path.
-func LoadFile(path string) (*core.Server, error) {
-	return LoadFileWith(path, core.NewServer)
-}
-
-// LoadFileWith reads a snapshot from path, building the empty server
-// through mk (see LoadWith).
-func LoadFileWith(path string, mk func(core.Params) (*core.Server, error)) (*core.Server, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return LoadWith(f, mk)
 }
 
 // LoadCheckpointBytes reads a snapshot in any format from an in-memory

@@ -115,21 +115,6 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
-func TestSaveFileLoadFile(t *testing.T) {
-	_, srv, _ := populatedServer(t)
-	path := filepath.Join(t.TempDir(), "cloud.snapshot")
-	if err := SaveFile(path, srv); err != nil {
-		t.Fatal(err)
-	}
-	restored, err := LoadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if restored.NumDocuments() != srv.NumDocuments() {
-		t.Errorf("restored %d docs, want %d", restored.NumDocuments(), srv.NumDocuments())
-	}
-}
-
 func TestLoadRejectsBadMagic(t *testing.T) {
 	if _, err := Load(bytes.NewReader([]byte("NOTMKSE0rest..."))); !errors.Is(err, ErrBadSnapshot) {
 		t.Errorf("bad magic gave %v", err)
@@ -186,10 +171,10 @@ func TestLoadEmptyServer(t *testing.T) {
 	}
 }
 
-// A PR-2-era (V1, "MKSESTO1") snapshot must keep loading through LoadWith /
-// LoadFileWith after the checkpoint format's introduction, reporting LSN 0
-// through LoadCheckpoint. Guards the upgrade path of daemons that ran with
-// the bare -snapshot flag before the durable engine existed.
+// A PR-2-era (V1, "MKSESTO1") snapshot must keep loading through LoadWith
+// after the checkpoint format's introduction, reporting LSN 0 through
+// LoadCheckpoint. Guards the upgrade path of V1 files written before the
+// durable engine existed.
 func TestV1SnapshotBackCompat(t *testing.T) {
 	_, srv, _ := populatedServer(t)
 	var buf bytes.Buffer
@@ -203,9 +188,9 @@ func TestV1SnapshotBackCompat(t *testing.T) {
 	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := LoadFileWith(path, core.NewServer)
+	restored, err := LoadWith(bytes.NewReader(buf.Bytes()), core.NewServer)
 	if err != nil {
-		t.Fatalf("LoadFileWith on V1 snapshot: %v", err)
+		t.Fatalf("LoadWith on V1 snapshot: %v", err)
 	}
 	if restored.NumDocuments() != srv.NumDocuments() {
 		t.Fatalf("restored %d docs, want %d", restored.NumDocuments(), srv.NumDocuments())

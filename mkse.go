@@ -110,7 +110,9 @@ func NewCloudServerSharded(p Params, shards, workers int) (*CloudServer, error) 
 	return core.NewServerSharded(p, shards, workers)
 }
 
-// Dial connects a new user to remote owner and cloud daemons and enrolls it.
+// Dial connects a new user to remote owner and cloud daemons and enrolls
+// it. A single cloud daemon is a one-partition cluster: this is DialCluster
+// over that topology.
 func Dial(userID, ownerAddr, cloudAddr string) (*Client, error) {
 	return service.Dial(userID, ownerAddr, cloudAddr)
 }
