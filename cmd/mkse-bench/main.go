@@ -1,6 +1,8 @@
 // Command mkse-bench regenerates the tables and figures of the paper's
 // evaluation (Örencik & Savaş, PAIS 2012). Each experiment prints the same
 // rows/series the paper reports; EXPERIMENTS.md records a reference run.
+// It does not time the system — bench/ does (bench/README.md); the one
+// exception is the replication sweep, which has no bench/ row yet.
 //
 // Usage:
 //
@@ -9,10 +11,8 @@
 //	mkse-bench -exp cao -dict 2000      # widen the MRSE gap
 //
 // Experiments: fig2a fig2b fig3 fig4a fig4b table1 table2 ranking cao
-// analytic theorem3 attack shards kernel million recovery replication cache
-// cluster all. The million sweep (streamed corpus, -mdocs documents, p50/p99 search
-// latency and RSS) runs only when named explicitly — at full scale it
-// builds a million indices.
+// analytic theorem3 attack confidence ablate-d ablate-v ablate-bins
+// replication all. Any other name is an error.
 package main
 
 import (
@@ -25,27 +25,20 @@ import (
 	"mkse/internal/experiments"
 )
 
+// expNames lists every value -exp accepts.
+const expNames = "fig2a fig2b fig3 fig4a fig4b table1 table2 ranking cao analytic theorem3 attack confidence ablate-d ablate-v ablate-bins replication all"
+
 func main() {
 	var (
-		version    = flag.Bool("version", false, "print version and exit")
-		exp        = flag.String("exp", "all", "experiment to run (fig2a fig2b fig3 fig4a fig4b table1 table2 ranking cao analytic theorem3 attack ablate-d ablate-v ablate-bins shards kernel million recovery replication cache cluster all)")
-		seed       = flag.Int64("seed", 2012, "experiment seed")
-		docs       = flag.Int("docs", 400, "corpus size for fig3/table2")
-		sizes      = flag.String("sizes", "2000,4000,6000,8000,10000", "comma-separated corpus sizes for fig4a/fig4b/cao sweeps")
-		queries    = flag.Int("queries", 50, "queries per measurement point")
-		dict       = flag.Int("dict", 1000, "MRSE dictionary size for -exp cao (paper: several thousands)")
-		trials     = flag.Int("trials", 25, "trials for -exp ranking")
-		kdocs      = flag.Int("kdocs", 10000, "corpus size for -exp kernel")
-		mdocs      = flag.Int("mdocs", 1_000_000, "corpus size for -exp million")
-		zipf       = flag.Bool("zipf", true, "Zipf-skewed keyword popularity for -exp million")
-		zeros      = flag.String("zeros", "1,2,4,7,14,28,56,112,224", "comma-separated query zero-counts for -exp kernel")
-		replicas   = flag.Int("replicas", 2, "read replicas for -exp replication")
-		partitions = flag.String("partitions", "1,2,4", "comma-separated partition counts for -exp cluster")
-		cacheMB    = flag.Int("cache-mb", 64, "query-result cache budget in MiB for -exp cache")
-		shards     = flag.Int("shards", 0, "store shards for -exp shards (0 = one per core)")
-		workers    = flag.Int("workers", 0, "concurrent shard scans for -exp shards (0 = auto)")
-		batch      = flag.Int("batch", 16, "queries per SearchBatch call for -exp shards")
-		traced     = flag.Bool("trace", false, "for -exp cluster: run the sweep with tracing enabled and print one assembled span tree")
+		version  = flag.Bool("version", false, "print version and exit")
+		exp      = flag.String("exp", "all", "experiment to run ("+expNames+")")
+		seed     = flag.Int64("seed", 2012, "experiment seed")
+		docs     = flag.Int("docs", 400, "corpus size for fig3/table2")
+		sizes    = flag.String("sizes", "2000,4000,6000,8000,10000", "comma-separated corpus sizes for fig4a/fig4b/cao/replication sweeps")
+		queries  = flag.Int("queries", 50, "queries per measurement point")
+		dict     = flag.Int("dict", 1000, "MRSE dictionary size for -exp cao (paper: several thousands)")
+		trials   = flag.Int("trials", 25, "trials for -exp ranking")
+		replicas = flag.Int("replicas", 2, "read replicas for -exp replication")
 	)
 	flag.Parse()
 
@@ -60,10 +53,12 @@ func main() {
 		os.Exit(2)
 	}
 
+	ran := false
 	run := func(name string, fn func() (fmt.Stringer, error)) {
 		if *exp != "all" && *exp != name {
 			return
 		}
+		ran = true
 		out, err := fn()
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "mkse-bench: %s: %v\n", name, err)
@@ -142,22 +137,6 @@ func main() {
 		r, err := experiments.BinsSweep(25000, *seed)
 		return stringer{r}, err
 	})
-	run("kernel", func() (fmt.Stringer, error) {
-		zs, err := cliutil.ParseInts(*zeros)
-		if err != nil {
-			return nil, err
-		}
-		r, err := experiments.KernelSweep(*kdocs, 0, zs, *queries, *seed)
-		return stringer{r}, err
-	})
-	run("recovery", func() (fmt.Stringer, error) {
-		recSizes := sweep
-		if *exp == "all" {
-			recSizes = []int{1000, 5000}
-		}
-		r, err := experiments.RecoverySweep(recSizes, *seed)
-		return stringer{r}, err
-	})
 	run("replication", func() (fmt.Stringer, error) {
 		repSizes := sweep
 		if *exp == "all" {
@@ -166,46 +145,10 @@ func main() {
 		r, err := experiments.ReplicationSweep(repSizes, *replicas, *queries, *seed)
 		return stringer{r}, err
 	})
-	run("cluster", func() (fmt.Stringer, error) {
-		cluSizes := sweep
-		if *exp == "all" {
-			cluSizes = []int{1000, 5000}
-		}
-		parts, err := cliutil.ParseInts(*partitions)
-		if err != nil {
-			return nil, err
-		}
-		r, err := experiments.ClusterSweep(cluSizes, parts, *queries, *seed, *traced)
-		return stringer{r}, err
-	})
-	run("cache", func() (fmt.Stringer, error) {
-		cacheSizes := sweep
-		if *exp == "all" {
-			cacheSizes = []int{1000, 10000}
-		}
-		r, err := experiments.CacheSweep(cacheSizes, *cacheMB, *queries, *seed)
-		return stringer{r}, err
-	})
-	// The million-document sweep streams mdocs indices into the server —
-	// minutes of index construction at full scale — so it only runs when
-	// asked for by name, never under -exp all.
-	if *exp == "million" {
-		r, err := experiments.MillionSweep(*mdocs, *shards, *workers, *queries, *zipf, *seed)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "mkse-bench: million: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Println(stringer{r})
+	if !ran {
+		fmt.Fprintf(os.Stderr, "mkse-bench: unknown -exp %q (valid: %s)\n", *exp, expNames)
+		os.Exit(2)
 	}
-
-	run("shards", func() (fmt.Stringer, error) {
-		shardSizes := sweep
-		if *exp == "all" {
-			shardSizes = []int{1000, 10000}
-		}
-		r, err := experiments.ShardSweep(shardSizes, *shards, *workers, *queries, *batch, *seed)
-		return stringer{r}, err
-	})
 }
 
 // stringer adapts experiment results (which have Format() string) to

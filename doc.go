@@ -32,11 +32,9 @@
 // first. Searches fan out over the shards to persistent shard-affine
 // workers, keep bounded top-τ heaps, and reuse pooled scratch so the
 // steady-state query path is allocation-free; results are byte-identical
-// to the paper's sequential scan, at million-document corpus scale
-// (mkse-bench -exp million streams an arbitrarily large corpus through
-// index construction and reports build, latency-percentile and memory
-// numbers). See core.Server, ARCHITECTURE.md ("Index arena layouts") and
-// EXPERIMENTS.md ("Columnar index arenas") for layouts and measurements.
+// to the paper's sequential scan. See core.Server and ARCHITECTURE.md
+// ("Index arena layouts") for the layouts, and bench/README.md for the
+// measurements (workload scan_large runs 400k documents).
 //
 // # Persistence and crash recovery
 //
@@ -54,8 +52,8 @@
 // byte-identical to a server that applied exactly the surviving operations.
 // Documents can also be removed end to end: core.Server.Delete compacts the
 // columnar arenas by swap-remove, and the Delete verb runs through the wire
-// protocol, the daemons and the client. See EXPERIMENTS.md ("Durable
-// storage engine") for replay-throughput and checkpoint-pause numbers.
+// protocol, the daemons and the client. See bench/README.md (the durable.*
+// rows) for replay-throughput and checkpoint-pause numbers.
 //
 // # Replication
 //
@@ -152,7 +150,8 @@
 // vectors even with the cache disabled, and followers cache against their
 // own epoch, so replicated applies invalidate naturally. The stats verb
 // (mkse-client stats) reports hit/miss/eviction/invalidation counters. See
-// EXPERIMENTS.md ("Query-result cache") for cold/warm/invalidate numbers.
+// bench/README.md (the qcache.* and service.searchwire_hit_us rows) for
+// hit, miss and invalidation costs.
 //
 // # Observability
 //

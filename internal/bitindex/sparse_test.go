@@ -96,9 +96,11 @@ func TestAppendToCopyWordsTo(t *testing.T) {
 // The core property of the whole arena design: every sparse kernel —
 // MatchWords, AppendMatchingRows — must agree exactly with the naive Matches
 // relation, for random vectors, lengths (word-boundary cases included), zero
-// densities, and batch sizes.
+// densities, and batch sizes. Zeroing further query bits can only shrink the
+// match set (AND-monotonicity).
 func TestSparseKernelsAgreeWithMatches(t *testing.T) {
 	rng := mrand.New(mrand.NewSource(23))
+	zrng := mrand.New(mrand.NewSource(26)) // own stream: the extra zeros leave the trials' inputs as they were
 	lengths := []int{1, 7, 63, 64, 65, 127, 128, 200, 448, 577}
 	for trial := 0; trial < 60; trial++ {
 		n := lengths[trial%len(lengths)]
@@ -150,6 +152,16 @@ func TestSparseKernelsAgreeWithMatches(t *testing.T) {
 			if ri != len(rows) {
 				t.Fatalf("trial %d query %d: AppendMatchingRows has %d extra rows", trial, qi, len(rows)-ri)
 			}
+			tighter := raw[qi].And(sparseQuery(zrng, n, 1+zrng.Intn(4)))
+			ri = 0
+			for _, d := range tighter.Sparsify().AppendMatchingRows(arena, stride, nil) {
+				for ri < len(rows) && rows[ri] < d {
+					ri++
+				}
+				if ri == len(rows) || rows[ri] != d {
+					t.Fatalf("trial %d query %d: row %d matches only after zeroing more query bits", trial, qi, d)
+				}
+			}
 		}
 	}
 }
@@ -195,6 +207,9 @@ func TestSparseActiveWords(t *testing.T) {
 	// Inverted padding of the last word must never count as active.
 	if s := NewOnes(65).Sparsify(); s.ActiveWords() != 0 {
 		t.Errorf("all-ones 65-bit query has %d active words, want 0", s.ActiveWords())
+	}
+	if s := New(448).Sparsify(); s.ActiveWords() != WordsFor(448) {
+		t.Errorf("all-zero query has %d active words, want every one of %d", s.ActiveWords(), WordsFor(448))
 	}
 }
 

@@ -411,7 +411,7 @@ func Fig4b(sizes []int, queries int, seed int64) (*Fig4bResult, error) {
 			return nil, err
 		}
 		// One shard/worker: Figure 4(b) reports the paper's sequential scan;
-		// the sharded fan-out has its own sweep (ShardSweep).
+		// bench/ times the sharded fan-out (core.searchtop_us).
 		server, err := core.NewServerSharded(owner.Params(), 1, 1)
 		if err != nil {
 			return nil, err

@@ -356,146 +356,3 @@ func TestBruteForceAttackContrast(t *testing.T) {
 		t.Error("Format output malformed")
 	}
 }
-
-// The kernel sweep verifies internally that boxed, dense-arena and
-// zero-word-skipping scans agree on every match set; any disagreement
-// surfaces as an error. Also pin the structural invariants of the report.
-func TestKernelSweepKernelsAgree(t *testing.T) {
-	res, err := KernelSweep(500, 448, []int{1, 7, 64, 448, 1000}, 2, 13)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Points) != 4 {
-		t.Fatalf("%d points, want 4 (zero-count beyond r skipped)", len(res.Points))
-	}
-	for _, p := range res.Points {
-		if p.ActiveWords < 1 || p.ActiveWords > res.Stride {
-			t.Errorf("%d zeros: %d active words outside [1,%d]", p.ZeroBits, p.ActiveWords, res.Stride)
-		}
-		if p.ZeroBits == 448 && p.ActiveWords != res.Stride {
-			t.Errorf("all-zero query should activate every word, got %d", p.ActiveWords)
-		}
-	}
-	// More query zeros can only shrink the match set (AND-monotonicity).
-	for i := 1; i < len(res.Points); i++ {
-		if res.Points[i].Matches > res.Points[0].Matches {
-			t.Errorf("matches grew with more zeros: %d at %d zeros vs %d at %d",
-				res.Points[i].Matches, res.Points[i].ZeroBits,
-				res.Points[0].Matches, res.Points[0].ZeroBits)
-		}
-	}
-	if !strings.Contains(res.Format(), "ns/doc") {
-		t.Error("Format output malformed")
-	}
-}
-
-// A small-scale run of the million-document sweep (the full scale lives in
-// mkse-bench -exp million): streamed build must account every document,
-// queries must be sampled and timed, and the quantiles must be ordered.
-func TestMillionSweepSmoke(t *testing.T) {
-	res, err := MillionSweep(1500, 3, 2, 8, true, 19)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Docs != 1500 || res.Shards != 3 || res.Workers != 2 {
-		t.Fatalf("geometry %d docs / %d shards / %d workers, want 1500/3/2", res.Docs, res.Shards, res.Workers)
-	}
-	if res.Queries != 8 {
-		t.Fatalf("%d queries sampled, want 8", res.Queries)
-	}
-	if res.BuildPerDoc <= 0 || res.NsPerDoc <= 0 {
-		t.Errorf("non-positive cost: build/doc %v, search ns/doc %v", res.BuildPerDoc, res.NsPerDoc)
-	}
-	if res.SearchP99 < res.SearchP50 {
-		t.Errorf("p99 %v below p50 %v", res.SearchP99, res.SearchP50)
-	}
-	// The level-1 screen alone costs one comparison per stored document.
-	if res.Comparisons < float64(res.Docs) {
-		t.Errorf("%.0f comparisons/query over %d docs", res.Comparisons, res.Docs)
-	}
-	out := res.Format()
-	for _, want := range []string{"ns/doc", "p50", "p99", "RSS", "Zipf"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("Format output missing %q:\n%s", want, out)
-		}
-	}
-}
-
-// The shard sweep must carry the per-document and comparison columns the
-// kernel work is judged by.
-func TestShardSweepReportsPerDocCosts(t *testing.T) {
-	res, err := ShardSweep([]int{60}, 2, 2, 4, 4, 17)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Points) != 1 {
-		t.Fatalf("%d points, want 1", len(res.Points))
-	}
-	p := res.Points[0]
-	if p.Comparisons < float64(p.NumDocs) {
-		t.Errorf("%.0f comparisons/query over %d docs — level-1 screen alone should cost one per doc", p.Comparisons, p.NumDocs)
-	}
-	if p.PerDoc <= 0 {
-		t.Errorf("PerDoc = %v, want > 0", p.PerDoc)
-	}
-	if !strings.Contains(res.Format(), "cmps/query") {
-		t.Error("Format output malformed")
-	}
-}
-
-// The cache sweep agreement-checks itself (warm and post-mutation results
-// byte-identical to the uncached scan — it errors on any divergence); the
-// test pins the counter bookkeeping and that warm hits actually beat the
-// scan. The timing assertion is deliberately loose (a cache hit is a map
-// lookup ~two orders of magnitude under the scan) so a loaded CI machine
-// cannot flake it.
-func TestCacheSweepWarmHitsBeatScans(t *testing.T) {
-	res, err := CacheSweep([]int{400}, 16, 10, 23)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Points) != 1 {
-		t.Fatalf("%d points, want 1", len(res.Points))
-	}
-	p := res.Points[0]
-	// 10 distinct queries: agreement pass hits 10, warm pass hits 10; cold
-	// pass misses 10, invalidate pass misses (and invalidates) 10.
-	if p.Hits != 20 || p.Misses != 20 || p.Invalid != 10 {
-		t.Errorf("counters hits=%d misses=%d invalidations=%d, want 20/20/10", p.Hits, p.Misses, p.Invalid)
-	}
-	if p.WarmSpeedup < 2 {
-		t.Errorf("warm speedup %.1fx — cache hits are not beating the scan", p.WarmSpeedup)
-	}
-	if p.Uncached <= 0 || p.Cold <= 0 || p.Warm <= 0 || p.Invalidate <= 0 {
-		t.Errorf("degenerate timings: %+v", p)
-	}
-	if !strings.Contains(res.Format(), "warm-speedup") {
-		t.Error("Format output malformed")
-	}
-}
-
-// The recovery sweep must replay every logged operation, report positive
-// throughput, and agree with the never-crashed reference (the sweep itself
-// errors on disagreement).
-func TestRecoverySweepReplaysEverything(t *testing.T) {
-	res, err := RecoverySweep([]int{80}, 19)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Points) != 1 {
-		t.Fatalf("%d points, want 1", len(res.Points))
-	}
-	p := res.Points[0]
-	if p.ReplayOps != p.NumDocs+p.Deletes {
-		t.Errorf("replayed %d ops, want %d uploads + %d deletes", p.ReplayOps, p.NumDocs, p.Deletes)
-	}
-	if p.DocsPerSec <= 0 || p.MBPerSec <= 0 || p.WALBytes <= 0 {
-		t.Errorf("degenerate throughput: %+v", p)
-	}
-	if p.CheckpointPause <= 0 || p.CleanOpen <= 0 {
-		t.Errorf("checkpoint timings missing: %+v", p)
-	}
-	if !strings.Contains(res.Format(), "docs/s") {
-		t.Error("Format output malformed")
-	}
-}

@@ -17,6 +17,10 @@ import (
 
 // ---------------------------------------------------------------------------
 // WAL-shipping replication — follower catch-up and read fan-out (ISSUE 4)
+//
+// The one system sweep in this package: bench/ runs no followers, so catch-up
+// ops/s and read fan-out have no row there. Everything else about the
+// system's speed is bench/'s to measure.
 // ---------------------------------------------------------------------------
 
 // ReplicationPoint is one corpus-size measurement of the replication
@@ -79,6 +83,22 @@ func ReplicationSweep(sizes []int, replicas, queries int, seed int64) (*Replicat
 		res.Points = append(res.Points, *pt)
 	}
 	return res, nil
+}
+
+// experimentCorpus generates maxN documents and their search indices.
+func experimentCorpus(owner *core.Owner, maxN int, seed int64) ([]*corpus.Document, []*core.SearchIndex, error) {
+	docs, err := corpus.Generate(corpus.Config{
+		NumDocs: maxN, KeywordsPerDoc: 20, Dictionary: corpus.Dictionary(2000),
+		MaxTermFreq: 15, Seed: seed,
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	indices, err := owner.BuildIndexes(docs, 0)
+	if err != nil {
+		return nil, nil, err
+	}
+	return docs, indices, nil
 }
 
 func replicationPoint(owner *core.Owner, docs []*corpus.Document, indices []*core.SearchIndex, n, replicas, queries int) (*ReplicationPoint, error) {

@@ -4,48 +4,47 @@ import (
 	"bytes"
 	"fmt"
 	"net"
-	"sync"
 	"testing"
 
+	"mkse/internal/core"
 	"mkse/internal/rank"
 )
 
-var (
-	sysOnce sync.Once
-	sysVal  *System
-	sysErr  error
-)
+// testCorpus is the small ranked corpus the facade tests search.
+var testCorpus = map[string]string{
+	"finance-q1":  "cloud revenue grew while server costs fell in the first quarter",
+	"finance-q2":  "cloud revenue flat but storage demand grew in the second quarter",
+	"eng-design":  "the encrypted index design uses trapdoor keys and ranking levels",
+	"eng-history": "legacy search server rewrite postponed",
+}
 
-// sharedSystem builds one ranked System reused across facade tests.
-func sharedSystem(t *testing.T) *System {
-	sysOnce.Do(func() {
-		p := DefaultParams()
-		p.Levels = rank.Levels{1, 5, 10}
-		p.Bins = 64
-		sysVal, sysErr = NewSystem(p)
-		if sysErr != nil {
-			return
-		}
-		docs := map[string]string{
-			"finance-q1":  "cloud revenue grew while server costs fell in the first quarter",
-			"finance-q2":  "cloud revenue flat but storage demand grew in the second quarter",
-			"eng-design":  "the encrypted index design uses trapdoor keys and ranking levels",
-			"eng-history": "legacy search server rewrite postponed",
-		}
-		for id, text := range docs {
-			if sysErr = sysVal.AddDocument(id, []byte(text)); sysErr != nil {
-				return
-			}
-		}
-	})
-	if sysErr != nil {
-		t.Fatal(sysErr)
+// testParams is the three-level configuration of the facade tests.
+func testParams() Params {
+	p := DefaultParams()
+	p.Levels = rank.Levels{1, 5, 10}
+	p.Bins = 64
+	return p
+}
+
+// newTestSystem builds a ranked System holding testCorpus. Every test gets
+// its own, so user IDs and added documents never leak between tests or
+// between -count iterations.
+func newTestSystem(t *testing.T) *System {
+	t.Helper()
+	s, err := NewSystem(testParams())
+	if err != nil {
+		t.Fatal(err)
 	}
-	return sysVal
+	for id, text := range testCorpus {
+		if err := s.AddDocument(id, []byte(text)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return s
 }
 
 func TestSystemSearchAndRetrieve(t *testing.T) {
-	s := sharedSystem(t)
+	s := newTestSystem(t)
 	alice, err := s.NewUser("alice")
 	if err != nil {
 		t.Fatal(err)
@@ -71,7 +70,7 @@ func TestSystemSearchAndRetrieve(t *testing.T) {
 }
 
 func TestSystemTopK(t *testing.T) {
-	s := sharedSystem(t)
+	s := newTestSystem(t)
 	bob, err := s.NewUser("bob")
 	if err != nil {
 		t.Fatal(err)
@@ -86,14 +85,14 @@ func TestSystemTopK(t *testing.T) {
 }
 
 func TestSystemRejectsEmptyDocument(t *testing.T) {
-	s := sharedSystem(t)
+	s := newTestSystem(t)
 	if err := s.AddDocument("empty", []byte("!!! ...")); err == nil {
 		t.Error("keyword-less document accepted")
 	}
 }
 
 func TestSystemSearchUnknownKeywordFindsNothing(t *testing.T) {
-	s := sharedSystem(t)
+	s := newTestSystem(t)
 	carol, err := s.NewUser("carol")
 	if err != nil {
 		t.Fatal(err)
@@ -110,7 +109,7 @@ func TestSystemSearchUnknownKeywordFindsNothing(t *testing.T) {
 }
 
 func TestSystemMultipleUsersIndependent(t *testing.T) {
-	s := sharedSystem(t)
+	s := newTestSystem(t)
 	u1, err := s.NewUser("indep-1")
 	if err != nil {
 		t.Fatal(err)
@@ -141,7 +140,7 @@ func TestSystemMultipleUsersIndependent(t *testing.T) {
 }
 
 func TestSystemDuplicateUser(t *testing.T) {
-	s := sharedSystem(t)
+	s := newTestSystem(t)
 	if _, err := s.NewUser("dup-user"); err != nil {
 		t.Fatal(err)
 	}
@@ -164,41 +163,66 @@ func TestDefaultParamsMatchPaper(t *testing.T) {
 	}
 }
 
+// A document's rank for a keyword is never below the keyword's true level
+// (no false reject at any level) and, for a matching keyword, at least 1.
+// It can be above: a higher level's index may cover the keyword's zero bits
+// by chance (the paper's false accept, analysis.Model.FalseAcceptProbability),
+// so under fresh keys only the bounds hold. Under pinned key material the
+// outcome is reproducible and the cold keyword's rank is checked exactly.
 func TestAddDocumentWithKeywordsRanked(t *testing.T) {
-	s := sharedSystem(t)
-	tf := map[string]int{"hotword": 12, "coldword": 1}
-	if err := s.AddDocumentWithKeywords("ranked-doc", tf, []byte("body")); err != nil {
-		t.Fatal(err)
-	}
-	u, err := s.NewUser("rank-checker")
+	fresh, err := NewSystem(testParams())
 	if err != nil {
 		t.Fatal(err)
 	}
-	hot, err := s.Search(u, []string{"hotword"}, 0)
+	pinnedOwner, err := core.NewOwnerDeterministic(testParams(), 1, 0xbe7c4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var hotRank int
-	for _, m := range hot {
-		if m.DocID == "ranked-doc" {
-			hotRank = m.Rank
-		}
-	}
-	if hotRank != 3 {
-		t.Errorf("hotword rank = %d, want 3 (tf 12 >= threshold 10)", hotRank)
-	}
-	cold, err := s.Search(u, []string{"coldword"}, 0)
+	pinnedCloud, err := NewCloudServer(testParams())
 	if err != nil {
 		t.Fatal(err)
 	}
-	var coldRank int
-	for _, m := range cold {
-		if m.DocID == "ranked-doc" {
-			coldRank = m.Rank
-		}
-	}
-	if coldRank != 1 {
-		t.Errorf("coldword rank = %d, want 1 (tf 1)", coldRank)
+	for _, tc := range []struct {
+		name  string
+		sys   *System
+		exact bool
+	}{
+		{"fresh keys", fresh, false},
+		{"pinned keys", &System{Owner: pinnedOwner, Cloud: pinnedCloud}, true},
+	} {
+		s := tc.sys
+		t.Run(tc.name, func(t *testing.T) {
+			tf := map[string]int{"hotword": 12, "coldword": 1}
+			if err := s.AddDocumentWithKeywords("ranked-doc", tf, []byte("body")); err != nil {
+				t.Fatal(err)
+			}
+			u, err := s.NewUser("rank-checker")
+			if err != nil {
+				t.Fatal(err)
+			}
+			rankOf := func(word string) int {
+				matches, err := s.Search(u, []string{word}, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, m := range matches {
+					if m.DocID == "ranked-doc" {
+						return m.Rank
+					}
+				}
+				return 0
+			}
+			if got := rankOf("hotword"); got != 3 {
+				t.Errorf("hotword rank = %d, want 3 (tf 12 >= threshold 10, the top level)", got)
+			}
+			cold := rankOf("coldword")
+			if cold < 1 {
+				t.Errorf("coldword rank = %d, want >= 1 (tf 1 is indexed at level 1)", cold)
+			}
+			if tc.exact && cold != 1 {
+				t.Errorf("coldword rank = %d under pinned keys, want 1 (tf 1)", cold)
+			}
+		})
 	}
 }
 
@@ -292,7 +316,7 @@ func ExampleSystem() {
 }
 
 func TestSystemSearchBatch(t *testing.T) {
-	s := sharedSystem(t)
+	s := newTestSystem(t)
 	u, err := s.NewUser("batcher")
 	if err != nil {
 		t.Fatal(err)
@@ -327,8 +351,7 @@ func TestSystemSearchBatch(t *testing.T) {
 }
 
 // DeleteDocument removes a document from search and retrieval; the System
-// facade surfaces the server's not-found error for unknown IDs. Uses a
-// private System so the shared corpus stays intact.
+// facade surfaces the server's not-found error for unknown IDs.
 func TestSystemDeleteDocument(t *testing.T) {
 	p := DefaultParams()
 	p.Bins = 64
