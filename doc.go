@@ -171,10 +171,11 @@
 // emits the same series names over the wire protocol. All daemons log
 // structured log/slog records (text or JSON) with a -slow-query WARN
 // threshold, and every binary reports its build stamp via -version
-// (internal/buildinfo) and the mkse_build_info series. Each layer has one
+// (internal/cliutil) and the mkse_build_info series. Each layer has one
 // instrumentation mechanism: one scan hook in core, one request seam both
 // services serve through, one daemon scaffold (internal/cliutil) the three
-// daemons share. See README.md ("Observability") for the full series table.
+// daemons share, and one stopwatch (trace.StartTimer) that feeds a timed
+// stage's span and histogram together. See README.md ("Observability") for the full series table.
 //
 // # Distributed tracing
 //
@@ -211,8 +212,8 @@
 //   - internal/qcache — the epoch-invalidated query-result cache
 //   - internal/protocol, internal/service — the three-party TCP deployment,
 //     including the replication stream and the one-path client
-//   - internal/telemetry, internal/buildinfo — the metrics registry, the
-//     /metrics + /healthz + pprof sidecar, and build stamping
+//   - internal/telemetry — the metrics registry and the
+//     /metrics + /healthz + pprof sidecar
 //   - internal/trace — the distributed-tracing core: span contexts,
 //     samplers, ring buffers and the /traces handlers
 //

@@ -1,6 +1,17 @@
 // Package cliutil holds what the mkse commands share: Parse with its
 // -version flag, small flag-parsing helpers, and the Daemon scaffold the
 // three daemons are built on.
+//
+// Release builds stamp the version and commit through the linker:
+//
+//	go build -ldflags "-X mkse/internal/cliutil.version=v1.2.3 \
+//	                   -X mkse/internal/cliutil.commit=$(git rev-parse --short HEAD)" ./cmd/...
+//
+// Unstamped builds fall back to the module's VCS metadata when the Go
+// toolchain embedded it, and to "dev"/"unknown" otherwise. Every binary
+// prints the result with -version, and the daemons also export it as the
+// mkse_build_info gauge, so a fleet's deployed versions can be inventoried
+// from Prometheus alone.
 package cliutil
 
 import (

@@ -7,9 +7,10 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"runtime"
+	"runtime/debug"
 	"syscall"
 
-	"mkse/internal/buildinfo"
 	"mkse/internal/service"
 	"mkse/internal/telemetry"
 	"mkse/internal/trace"
@@ -18,14 +19,44 @@ import (
 // traceRing is how many recent traces a daemon's trace buffer retains.
 const traceRing = 256
 
+// version and commit are injected with -ldflags -X; see the package comment.
+var (
+	version = "dev"
+	commit  = ""
+)
+
+// buildStamp returns the version and commit, backfilling the commit from
+// the build's embedded VCS metadata: the -version output and the label
+// values of the mkse_build_info gauge.
+func buildStamp() (string, string) {
+	c := commit
+	if c == "" {
+		if bi, ok := debug.ReadBuildInfo(); ok {
+			for _, s := range bi.Settings {
+				if s.Key == "vcs.revision" {
+					c = s.Value
+					if len(c) > 12 {
+						c = c[:12]
+					}
+				}
+			}
+		}
+	}
+	if c == "" {
+		c = "unknown"
+	}
+	return version, c
+}
+
 // Parse parses the command line with a -version flag added, which prints
 // the named binary's version line and exits 0. Every mkse command calls it
 // in place of flag.Parse.
 func Parse(name string) {
-	version := flag.Bool("version", false, "print version and exit")
+	printVersion := flag.Bool("version", false, "print version and exit")
 	flag.Parse()
-	if *version {
-		fmt.Println(buildinfo.String(name))
+	if *printVersion {
+		v, c := buildStamp()
+		fmt.Printf("%s %s (commit %s, %s %s/%s)\n", name, v, c, runtime.Version(), runtime.GOOS, runtime.GOARCH)
 		os.Exit(0)
 	}
 }
@@ -104,10 +135,10 @@ func (d *Daemon) StartSidecar(health func() telemetry.Health, register func(*tel
 		return
 	}
 	reg := telemetry.New()
-	ver, commit := buildinfo.Fields()
+	v, c := buildStamp()
 	reg.Gauge(service.SeriesBuildInfo, "Build metadata; the labelled series is always 1.",
-		telemetry.Label{Key: "version", Value: ver},
-		telemetry.Label{Key: "commit", Value: commit}).Set(1)
+		telemetry.Label{Key: "version", Value: v},
+		telemetry.Label{Key: "commit", Value: c}).Set(1)
 	if register != nil {
 		register(reg)
 	}

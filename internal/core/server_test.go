@@ -381,8 +381,7 @@ func TestSearchScanPathAllocationFree(t *testing.T) {
 	}
 	scanHist := telemetry.New().Histogram("test_scan_seconds", "scan timings", telemetry.RequestBuckets())
 	observe := func(ctx context.Context, start time.Time, d time.Duration) {
-		scanHist.Observe(d)
-		trace.AddCompleted(ctx, "scan", start, d)
+		trace.AddCompleted(ctx, "scan", start, d, scanHist)
 	}
 	srv.ObserveScans(observe)
 	docs := uploadCorpus(t, o, 200, 37, srv)

@@ -173,9 +173,10 @@ type Engine struct {
 	done   chan struct{}
 	wg     sync.WaitGroup
 
-	// metrics, when set by EnableMetrics, receives append/fsync/checkpoint
-	// latency observations. An atomic pointer so EnableMetrics can run after
-	// Open without racing the mutation path; nil costs one load per append.
+	// metrics holds the append/fsync/checkpoint latency instruments, all nil
+	// (and so off) until EnableMetrics swaps in registered ones. An atomic
+	// pointer so EnableMetrics can run after Open without racing the
+	// mutation path.
 	metrics atomic.Pointer[engineMetrics]
 	// tracer, when set by SetTracer, records checkpoint traces and sampled
 	// replication-apply traces into the daemon's trace buffer; request-path
@@ -268,6 +269,7 @@ func Open(dir string, p core.Params, opts Options) (*Engine, error) {
 		notify:   make(chan struct{}),
 		openedAt: time.Now(),
 	}
+	e.metrics.Store(&engineMetrics{})
 	mk := func(p core.Params) (*core.Server, error) {
 		return core.NewServerSharded(p, opts.Shards, opts.Workers)
 	}
@@ -473,12 +475,7 @@ func (e *Engine) logLocked(ctx context.Context, rec []byte) error {
 	if len(rec) > MaxOpSize {
 		return fmt.Errorf("durable: %d-byte mutation exceeds the %d-byte limit (documents must stay shippable to replicas in one frame)", len(rec), MaxOpSize)
 	}
-	m := e.metrics.Load()
-	traced := trace.Sampled(ctx)
-	var t0 time.Time
-	if m != nil || traced {
-		t0 = time.Now()
-	}
+	sw := trace.StartTimer(ctx, "wal.append", e.metrics.Load().appendLat)
 	var err error
 	e.frame, err = AppendRecord(e.frame[:0], rec)
 	if err != nil {
@@ -509,15 +506,7 @@ func (e *Engine) logLocked(ctx context.Context, rec []byte) error {
 	if e.opts.Fsync == FsyncAlways {
 		err = e.syncLocked(ctx)
 	}
-	if m != nil || traced {
-		d := time.Since(t0)
-		if m != nil {
-			m.appendLat.Observe(d)
-		}
-		if traced {
-			trace.AddCompleted(ctx, "wal.append", t0, d)
-		}
-	}
+	sw.Stop()
 	return err
 }
 
@@ -527,24 +516,11 @@ func (e *Engine) syncLocked(ctx context.Context) error {
 	if !e.dirty {
 		return nil
 	}
-	m := e.metrics.Load()
-	traced := trace.Sampled(ctx)
-	var t0 time.Time
-	if m != nil || traced {
-		t0 = time.Now()
-	}
+	sw := trace.StartTimer(ctx, "wal.fsync", e.metrics.Load().fsyncLat)
 	if err := e.f.Sync(); err != nil {
 		return fmt.Errorf("durable: syncing WAL: %w", err)
 	}
-	if m != nil || traced {
-		d := time.Since(t0)
-		if m != nil {
-			m.fsyncLat.Observe(d)
-		}
-		if traced {
-			trace.AddCompleted(ctx, "wal.fsync", t0, d)
-		}
-	}
+	sw.Stop()
 	e.dirty = false
 	return nil
 }
@@ -605,6 +581,10 @@ func (e *Engine) checkpoint(force bool) error {
 	e.ckptMu.Lock()
 	defer e.ckptMu.Unlock()
 
+	// Checkpoints are rare and always worth inspecting, so every one is
+	// recorded (forced, not sampled), with the mutation-stream pause as a
+	// child: a pause-induced latency outlier is attributable from /traces.
+	ctx, root := e.tracer.Load().StartRequest(context.Background(), "durable.checkpoint", true)
 	start := time.Now()
 	e.mu.Lock()
 	lsn := e.lsn
@@ -648,27 +628,14 @@ func (e *Engine) checkpoint(force bool) error {
 	e.stats.LastCheckpointWrite = time.Since(wstart)
 	e.lastCkptAt = time.Now()
 	e.mu.Unlock()
-	if m := e.metrics.Load(); m != nil {
-		m.ckptPause.Observe(pause)
-		m.ckptDur.Observe(time.Since(start))
+	m := e.metrics.Load()
+	trace.AddCompleted(ctx, "checkpoint.pause", start, pause, m.ckptPause)
+	m.ckptDur.Observe(time.Since(start))
+	if root != nil {
+		root.SetAttr("lsn", strconv.FormatUint(lsn, 10))
+		root.SetAttr("documents", strconv.Itoa(len(snap.items)))
 	}
-	// Checkpoints are rare and always worth inspecting, so every one is
-	// recorded (no sampling): a root span for the whole checkpoint with the
-	// mutation-stream pause as a child, making a pause-induced latency
-	// outlier attributable from /traces alone.
-	if tr := e.tracer.Load(); tr != nil {
-		id := trace.NewTraceID()
-		rootID := trace.NewSpanID()
-		tr.RecordSpans([]trace.Span{
-			{Trace: id, ID: rootID, Service: tr.Service(), Name: "durable.checkpoint",
-				Start: start, Duration: time.Since(start), Attrs: []trace.Attr{
-					{Key: "lsn", Value: strconv.FormatUint(lsn, 10)},
-					{Key: "documents", Value: strconv.Itoa(len(snap.items))},
-				}},
-			{Trace: id, ID: trace.NewSpanID(), Parent: rootID, Service: tr.Service(),
-				Name: "checkpoint.pause", Start: start, Duration: pause},
-		})
-	}
+	root.End()
 	e.cleanup()
 	logf(e.opts.Logger, "durable: checkpoint at LSN %d (%d documents, %v pause)", lsn, len(snap.items), pause)
 	return nil

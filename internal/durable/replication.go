@@ -11,7 +11,6 @@ import (
 
 	"mkse/internal/core"
 	"mkse/internal/store"
-	"mkse/internal/trace"
 )
 
 // This file is the engine's replication surface: everything a WAL-shipping
@@ -204,13 +203,9 @@ func (e *Engine) ReadCheckpoint() ([]byte, uint64, error) {
 func (e *Engine) ApplyReplicated(payload []byte) error {
 	// Replication has no originating request to adopt a trace from, so the
 	// apply stream head-samples itself: 1 in N applies becomes a one-span
-	// trace in the follower's buffer.
-	tr := e.tracer.Load()
-	sampled := tr != nil && tr.SampleBackground()
-	var t0 time.Time
-	if sampled {
-		t0 = time.Now()
-	}
+	// trace in the follower's buffer. The log append below gets a background
+	// context, so it adds no span to that trace.
+	_, root := e.tracer.Load().StartRequest(context.Background(), "replication.apply", false)
 	op, err := decodeOp(payload)
 	if err != nil {
 		return fmt.Errorf("durable: replicated record: %w", err)
@@ -258,11 +253,11 @@ func (e *Engine) ApplyReplicated(payload []byte) error {
 		}
 	}
 	e.noteOpLocked()
-	if sampled {
-		tr.RecordRoot("replication.apply", t0, time.Since(t0),
-			trace.Attr{Key: "kind", Value: opKindName(op.kind)},
-			trace.Attr{Key: "position", Value: strconv.FormatUint(pos, 10)})
+	if root != nil {
+		root.SetAttr("kind", opKindName(op.kind))
+		root.SetAttr("position", strconv.FormatUint(pos, 10))
 	}
+	root.End()
 	return nil
 }
 

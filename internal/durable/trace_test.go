@@ -32,6 +32,7 @@ func TestEngineTracing(t *testing.T) {
 		t.Fatal(err)
 	}
 	root.End()
+	rootID := root.Context().Span
 	var gotAppend, gotFsync bool
 	for _, sp := range root.Spans() {
 		switch sp.Name {
@@ -39,6 +40,11 @@ func TestEngineTracing(t *testing.T) {
 			gotAppend = true
 		case "wal.fsync":
 			gotFsync = true
+		default:
+			continue
+		}
+		if sp.Parent != rootID {
+			t.Errorf("%s span parented to %x, want the request root %x", sp.Name, sp.Parent, rootID)
 		}
 	}
 	if !gotAppend || !gotFsync {
@@ -47,9 +53,13 @@ func TestEngineTracing(t *testing.T) {
 	}
 
 	// An untraced mutation must not record spans anywhere.
+	before := len(buf.Recent(100))
 	up2 := uploadOp(rng, p, "doc-0002", "body2")
 	if err := e.Upload(up2.si, up2.doc); err != nil {
 		t.Fatal(err)
+	}
+	if got := len(buf.Recent(100)); got != before {
+		t.Fatalf("untraced upload grew the trace buffer from %d to %d traces", before, got)
 	}
 
 	if err := e.Checkpoint(); err != nil {
@@ -65,14 +75,21 @@ func TestEngineTracing(t *testing.T) {
 	if ckpt == nil {
 		t.Fatal("checkpoint recorded no trace")
 	}
-	var pause bool
-	for _, sp := range ckpt.Spans {
-		if sp.Name == "checkpoint.pause" {
-			pause = true
-		}
+	ckptRoot := ckpt.Root()
+	var keys []string
+	for _, a := range ckptRoot.Attrs {
+		keys = append(keys, a.Key)
 	}
-	if !pause {
-		t.Fatalf("checkpoint trace missing pause span: %+v", ckpt.Spans)
+	if len(keys) != 2 || keys[0] != "lsn" || keys[1] != "documents" {
+		t.Errorf("checkpoint root attributes %v, want [lsn documents]", keys)
+	}
+	if len(ckpt.Spans) != 2 {
+		t.Fatalf("checkpoint trace has %d spans, want root + pause: %+v", len(ckpt.Spans), ckpt.Spans)
+	}
+	for _, sp := range ckpt.Spans {
+		if sp.ID != ckptRoot.ID && (sp.Name != "checkpoint.pause" || sp.Parent != ckptRoot.ID) {
+			t.Fatalf("checkpoint trace holds %q under %x, want checkpoint.pause under the root", sp.Name, sp.Parent)
+		}
 	}
 }
 
@@ -107,7 +124,16 @@ func TestApplyReplicatedTraceSampling(t *testing.T) {
 	if len(traces) != len(records) {
 		t.Fatalf("sampled %d apply traces for %d records", len(traces), len(records))
 	}
-	if r := traces[0].Root(); r == nil || r.Name != "replication.apply" {
-		t.Fatalf("apply trace mis-rooted: %+v", traces[0])
+	for _, tr := range traces {
+		if len(tr.Spans) != 1 {
+			t.Fatalf("apply trace has %d spans, want one: %+v", len(tr.Spans), tr.Spans)
+		}
+		sp := tr.Spans[0]
+		if sp.Name != "replication.apply" || sp.Parent != 0 {
+			t.Fatalf("apply trace mis-rooted: %+v", sp)
+		}
+		if len(sp.Attrs) != 2 || sp.Attrs[0].Key != "kind" || sp.Attrs[1].Key != "position" {
+			t.Errorf("apply span attributes %+v, want kind and position", sp.Attrs)
+		}
 	}
 }

@@ -30,26 +30,14 @@ func New(lo, hi, width int) *Histogram {
 	return &Histogram{Lo: lo, Hi: hi, Width: width, counts: make([]int, nb)}
 }
 
-// BucketIndex maps observation v onto one of nb fixed-width buckets
-// [lo, lo+width), [lo+width, lo+2·width), …, clamping out-of-range values
-// into the first or last bucket so no sample is ever lost. It is the single
-// source of the package's bucket math, shared by the Figure 2 histograms
-// here and by internal/telemetry's latency histograms (whose final bucket
-// doubles as the Prometheus +Inf bucket via the same clamp).
-func BucketIndex(lo, width, nb, v int) int {
-	if v < lo {
-		return 0
-	}
-	idx := (v - lo) / width
-	if idx >= nb {
-		return nb - 1
-	}
-	return idx
-}
-
-// Add records one observation.
+// Add records one observation, clamping an out-of-range value into the
+// first or last bucket.
 func (h *Histogram) Add(v int) {
-	h.counts[BucketIndex(h.Lo, h.Width, len(h.counts), v)]++
+	idx := 0
+	if v >= h.Lo {
+		idx = min((v-h.Lo)/h.Width, len(h.counts)-1)
+	}
+	h.counts[idx]++
 	h.n++
 	h.sum += float64(v)
 	h.sumSq += float64(v) * float64(v)

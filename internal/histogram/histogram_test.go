@@ -41,12 +41,10 @@ func TestAddAndBuckets(t *testing.T) {
 	}
 }
 
-// BucketIndex is the shared bucket math (Figure 2 histograms here, latency
-// histograms in internal/telemetry): half-open [lo, hi) buckets, so a value
-// exactly on a bound belongs to the next bucket, with out-of-range values
-// clamped into the end buckets.
+// Buckets are half-open [lo, hi), so a value exactly on a bound belongs to
+// the next bucket, with out-of-range values clamped into the end buckets.
 func TestBucketIndexBoundaries(t *testing.T) {
-	const lo, width, nb = 100, 10, 5 // buckets [100,110) … [140,150)
+	const lo, hi, width = 100, 150, 10 // buckets [100,110) … [140,150)
 	cases := []struct{ v, want int }{
 		{99, 0},   // below range clamps to first
 		{100, 0},  // inclusive lower bound
@@ -58,8 +56,10 @@ func TestBucketIndexBoundaries(t *testing.T) {
 		{-50, 0},  // negative clamps to first
 	}
 	for _, c := range cases {
-		if got := BucketIndex(lo, width, nb, c.v); got != c.want {
-			t.Errorf("BucketIndex(%d,%d,%d,%d) = %d, want %d", lo, width, nb, c.v, got, c.want)
+		h := New(lo, hi, width)
+		h.Add(c.v)
+		if got := h.Buckets()[c.want].Count; got != 1 {
+			t.Errorf("Add(%d) did not land in bucket %d: %v", c.v, c.want, h.Buckets())
 		}
 	}
 }

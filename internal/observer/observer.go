@@ -14,6 +14,7 @@
 package observer
 
 import (
+	"context"
 	"fmt"
 	"log/slog"
 	"sort"
@@ -206,32 +207,17 @@ func (o *Observer) Tick() {
 	primary := o.primary
 	o.mu.Unlock()
 
-	tr := o.cfg.Tracer
-	sampled := tr != nil && tr.SampleBackground()
-	var start time.Time
-	var probeDur time.Duration
+	ctx, root := o.cfg.Tracer.StartRequest(context.Background(), "observer.tick", false)
+	root.SetAttr("primary", primary)
 	outcome := "healthy"
-	if sampled {
-		start = time.Now()
-		defer func() {
-			id := trace.NewTraceID()
-			rootID := trace.NewSpanID()
-			tr.RecordSpans([]trace.Span{
-				{Trace: id, ID: rootID, Service: tr.Service(), Name: "observer.tick",
-					Start: start, Duration: time.Since(start), Attrs: []trace.Attr{
-						{Key: "primary", Value: primary},
-						{Key: "outcome", Value: outcome},
-					}},
-				{Trace: id, ID: trace.NewSpanID(), Parent: rootID, Service: tr.Service(),
-					Name: "probe", Start: start, Duration: probeDur},
-			})
-		}()
-	}
+	defer func() {
+		root.SetAttr("outcome", outcome)
+		root.End()
+	}()
 
+	sw := trace.StartTimer(ctx, "probe", nil)
 	st, err := o.probe(primary)
-	if sampled {
-		probeDur = time.Since(start)
-	}
+	sw.Stop()
 	if err == nil {
 		o.mu.Lock()
 		o.fails = 0

@@ -29,13 +29,10 @@ func TestTickRecordsBackgroundTrace(t *testing.T) {
 		if r == nil || r.Name != "observer.tick" {
 			t.Fatalf("tick trace mis-rooted: %+v", tr)
 		}
-		var outcome string
-		for _, a := range r.Attrs {
-			if a.Key == "outcome" {
-				outcome = a.Value
-			}
+		if len(r.Attrs) != 2 || r.Attrs[0] != (trace.Attr{Key: "primary", Value: "127.0.0.1:1"}) || r.Attrs[1].Key != "outcome" {
+			t.Fatalf("tick root attributes %+v, want primary then outcome", r.Attrs)
 		}
-		if outcome != "probe-failed" {
+		if outcome := r.Attrs[1].Value; outcome != "probe-failed" {
 			t.Errorf("tick against a dead primary recorded outcome %q, want probe-failed", outcome)
 		}
 		var probe bool

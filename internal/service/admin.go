@@ -148,19 +148,6 @@ func FetchClusterStats(cfg cluster.Config) ([]*protocol.StatsResponse, error) {
 	return out, nil
 }
 
-// FetchReplicaStatus asks any cloud daemon where it stands in the
-// replicated log — position, term, role, and connected followers.
-func FetchReplicaStatus(cloudAddr string) (*protocol.ReplicaStatusResponse, error) {
-	resp, err := protocol.Call(cloudAddr, &protocol.Message{ReplicaStatusReq: &protocol.ReplicaStatusRequest{}}, DialTimeout)
-	if err != nil {
-		return nil, fmt.Errorf("service: replica status: %w", err)
-	}
-	if resp.ReplicaStatusResp == nil {
-		return nil, fmt.Errorf("service: replica status response missing")
-	}
-	return resp.ReplicaStatusResp, nil
-}
-
 // Promote asks the daemon at cloudAddr to become primary at the given
 // promotion term (see protocol.PromoteRequest). The term must exceed the
 // daemon's current one; retries of the same term are idempotent.

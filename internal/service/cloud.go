@@ -450,7 +450,7 @@ func (s *CloudService) SearchWireCtx(ctx context.Context, req *protocol.SearchRe
 			if ok {
 				outcome = "hit"
 			}
-			trace.AddCompleted(ctx, "qcache", t0, time.Since(t0),
+			trace.AddCompleted(ctx, "qcache", t0, time.Since(t0), nil,
 				trace.Attr{Key: "outcome", Value: outcome})
 		}
 		if ok {
@@ -545,7 +545,7 @@ func (s *CloudService) SearchBatchWireCtx(ctx context.Context, req *protocol.Sea
 		queries = append(queries, q)
 	}
 	if traced && s.Cache != nil {
-		trace.AddCompleted(ctx, "qcache", cacheT0, time.Since(cacheT0),
+		trace.AddCompleted(ctx, "qcache", cacheT0, time.Since(cacheT0), nil,
 			trace.Attr{Key: "hits", Value: strconv.Itoa(cacheHits)},
 			trace.Attr{Key: "misses", Value: strconv.Itoa(len(misses))})
 	}

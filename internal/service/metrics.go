@@ -283,13 +283,12 @@ func (s *CloudService) EnableMetrics(reg *telemetry.Registry) *ServiceMetrics {
 // one context lookup, so the scan path stays allocation-free
 // (TestSearchScanPathAllocationFree).
 func (s *CloudService) observeScans() {
-	var hist *telemetry.Histogram // nil, and Observe a no-op, with metrics off
+	var hist *telemetry.Histogram // nil, so nothing is observed, with metrics off
 	if s.Metrics != nil {
 		hist = s.Metrics.scan
 	}
 	s.Server.ObserveScans(func(ctx context.Context, start time.Time, d time.Duration) {
-		hist.Observe(d)
-		trace.AddCompleted(ctx, "scan", start, d) // no-op unless ctx is sampled
+		trace.AddCompleted(ctx, "scan", start, d, hist)
 	})
 }
 

@@ -8,8 +8,7 @@
 //
 // The package sits under the search hot path, so the instruments are built
 // for the mutator, not the scraper: a Counter or Gauge update is one atomic
-// add, and a Histogram observation is a bucket-index computation (reusing
-// internal/histogram's fixed-width bucket math, see histogram.BucketIndex)
+// add, and a Histogram observation is a short scan of its bucket bounds
 // plus two atomic adds into preallocated slots — no locks, no allocation,
 // no branching on enablement (all instrument methods are nil-safe, so an
 // uninstrumented daemon pays a nil check and nothing else). All rendering
@@ -19,10 +18,10 @@
 // # Conventions
 //
 // Series are named mkse_<subsystem>_<unit> with _total suffixes on
-// counters, durations are exported in seconds, and histogram buckets follow
-// internal/histogram's half-open [lo, hi) convention: a sample exactly on a
-// bucket bound lands in the next bucket. The final implicit bucket is
-// rendered as le="+Inf", as Prometheus requires.
+// counters, durations are exported in seconds, and histogram buckets are
+// half-open [lo, hi): a sample exactly on a bucket bound lands in the next
+// bucket. The final implicit bucket is rendered as le="+Inf", as Prometheus
+// requires.
 package telemetry
 
 import (
@@ -34,8 +33,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"mkse/internal/histogram"
 )
 
 // Label is one name="value" pair attached to a series at registration time.
@@ -149,8 +146,8 @@ func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
 
 // Histogram registers (or returns the existing) latency histogram under
 // name. bounds are the ascending finite bucket upper bounds; an implicit
-// +Inf bucket follows the last. Use LinearBuckets or ExponentialBuckets to
-// build them.
+// +Inf bucket follows the last. RequestBuckets and WriteBuckets are the
+// two geometries the daemons use.
 func (r *Registry) Histogram(name, help string, bounds []time.Duration, labels ...Label) *Histogram {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -295,19 +292,14 @@ func (g *Gauge) render(w io.Writer, name string) {
 }
 
 // Histogram buckets duration observations into fixed upper-bound buckets
-// plus an implicit +Inf bucket. Observe is the hot-path operation: a bucket
-// index (histogram.BucketIndex for linear geometries, a short bounds scan
-// otherwise) and two atomic adds — no locks, no allocation. All methods are
+// plus an implicit +Inf bucket. Observe is the hot-path operation: a short
+// bounds scan and two atomic adds — no locks, no allocation. All methods are
 // safe on a nil *Histogram.
 type Histogram struct {
 	bounds []time.Duration // ascending finite upper bounds
 	counts []atomic.Uint64 // len(bounds)+1; last is +Inf
 	sum    atomic.Int64    // nanoseconds
 	labels string
-	// lo/width describe a linear geometry (set by LinearBuckets-shaped
-	// bounds): bucket i spans [lo+i·width, lo+(i+1)·width). Zero width means
-	// irregular bounds, indexed by scanning.
-	lo, width time.Duration
 	// bucketLBs are the prerendered per-bucket label strings (labels merged
 	// with le="…"), so scraping does no label assembly either.
 	bucketLBs []string
@@ -327,32 +319,12 @@ func newHistogram(bounds []time.Duration, labels []Label) *Histogram {
 		counts: make([]atomic.Uint64, len(bounds)+1),
 		labels: renderLabels(labels),
 	}
-	// Detect the linear geometry LinearBuckets produces so Observe can use
-	// internal/histogram's O(1) bucket math instead of scanning.
-	if len(bounds) == 1 || allLinear(bounds) {
-		width := bounds[0]
-		if len(bounds) > 1 {
-			width = bounds[1] - bounds[0]
-		}
-		h.lo, h.width = bounds[0]-width, width
-	}
 	h.bucketLBs = make([]string, len(bounds)+1)
 	for i, b := range bounds {
 		h.bucketLBs[i] = mergeLE(labels, formatFloat(b.Seconds()))
 	}
 	h.bucketLBs[len(bounds)] = mergeLE(labels, "+Inf")
 	return h
-}
-
-// allLinear reports whether the bounds are evenly spaced.
-func allLinear(bounds []time.Duration) bool {
-	w := bounds[1] - bounds[0]
-	for i := 2; i < len(bounds); i++ {
-		if bounds[i]-bounds[i-1] != w {
-			return false
-		}
-	}
-	return true
 }
 
 // Observe records one duration.
@@ -364,21 +336,10 @@ func (h *Histogram) Observe(d time.Duration) {
 	h.sum.Add(int64(d))
 }
 
-// Since is shorthand for Observe(time.Since(start)).
-func (h *Histogram) Since(start time.Time) {
-	if h != nil {
-		h.Observe(time.Since(start))
-	}
-}
-
-// bucketIndex maps d onto a bucket. Both paths share the half-open [lo, hi)
-// convention of internal/histogram: a sample equal to a bound belongs to
-// the next bucket, and everything past the last finite bound clamps into
-// the +Inf slot.
+// bucketIndex maps d onto a bucket. Buckets are half-open [lo, hi): a
+// sample equal to a bound belongs to the next bucket, and everything past
+// the last finite bound lands in the +Inf slot.
 func (h *Histogram) bucketIndex(d time.Duration) int {
-	if h.width > 0 {
-		return histogram.BucketIndex(int(h.lo), int(h.width), len(h.counts), int(d))
-	}
 	for i, b := range h.bounds {
 		if d < b {
 			return i
@@ -417,35 +378,7 @@ func (h *Histogram) render(w io.Writer, name string) {
 	fmt.Fprintf(w, "%s_count%s %d\n", name, h.labels, cum)
 }
 
-// --- bucket constructors ---
-
-// LinearBuckets returns n fixed-width upper bounds lo+width, lo+2·width, …,
-// lo+n·width — the same geometry internal/histogram.New(lo, hi, width)
-// buckets with, expressed as Prometheus le bounds.
-func LinearBuckets(lo, width time.Duration, n int) []time.Duration {
-	if width <= 0 || n <= 0 {
-		panic(fmt.Sprintf("telemetry: invalid linear buckets width %v n %d", width, n))
-	}
-	out := make([]time.Duration, n)
-	for i := range out {
-		out[i] = lo + time.Duration(i+1)*width
-	}
-	return out
-}
-
-// ExponentialBuckets returns n upper bounds growing from start by factor.
-func ExponentialBuckets(start time.Duration, factor float64, n int) []time.Duration {
-	if start <= 0 || factor <= 1 || n <= 0 {
-		panic(fmt.Sprintf("telemetry: invalid exponential buckets start %v factor %v n %d", start, factor, n))
-	}
-	out := make([]time.Duration, n)
-	v := float64(start)
-	for i := range out {
-		out[i] = time.Duration(v)
-		v *= factor
-	}
-	return out
-}
+// --- bucket geometries ---
 
 // RequestBuckets is the default latency geometry for request-scoped
 // histograms: 1-2-5 decades from 10µs to 10s, 19 buckets.

@@ -57,33 +57,24 @@ func TestWritePrometheusGolden(t *testing.T) {
 	}
 }
 
-// Histogram bucketing shares internal/histogram's half-open [lo, hi)
-// convention on both index paths: the O(1) linear-geometry fast path and
-// the bounds scan for irregular (1-2-5) bucket sets must agree, including
-// on samples exactly at a bound and past the last finite bound.
+// Histogram buckets are half-open [lo, hi), including on samples exactly
+// at a bound and past the last finite bound, for an irregular (1-2-5) set
+// and for a single bound.
 func TestHistogramBucketBoundaries(t *testing.T) {
-	linear := LinearBuckets(0, time.Millisecond, 4) // 1ms 2ms 3ms 4ms
-	irregular := []time.Duration{time.Millisecond, 2 * time.Millisecond, 5 * time.Millisecond, 10 * time.Millisecond}
 	cases := []struct {
 		name   string
 		bounds []time.Duration
-		fast   bool
 	}{
-		{"linear", linear, true},
-		{"irregular", irregular, false},
-		{"single", []time.Duration{time.Millisecond}, true},
+		{"irregular", []time.Duration{time.Millisecond, 2 * time.Millisecond, 5 * time.Millisecond, 10 * time.Millisecond}},
+		{"single", []time.Duration{time.Millisecond}},
 	}
 	for _, tc := range cases {
 		h := newHistogram(tc.bounds, nil)
-		if (h.width > 0) != tc.fast {
-			t.Errorf("%s: fast-path detection = %v, want %v", tc.name, h.width > 0, tc.fast)
-		}
 		for i, b := range tc.bounds {
 			if got := h.bucketIndex(b - 1); got != i {
 				t.Errorf("%s: bucketIndex(%v-1ns) = %d, want %d", tc.name, b, got, i)
 			}
-			// Exactly on the bound: the next bucket, per the half-open
-			// convention shared with internal/histogram.
+			// Exactly on the bound: the next bucket.
 			if got := h.bucketIndex(b); got != i+1 {
 				t.Errorf("%s: bucketIndex(%v) = %d, want %d", tc.name, b, got, i+1)
 			}
@@ -143,7 +134,6 @@ func TestNilInstrumentsAreNoOps(t *testing.T) {
 	}
 	var h *Histogram
 	h.Observe(time.Second)
-	h.Since(time.Now())
 	if h.Count() != 0 || h.Sum() != 0 {
 		t.Error("nil histogram accumulated")
 	}
@@ -207,17 +197,6 @@ func TestLabelRendering(t *testing.T) {
 }
 
 func TestBucketConstructors(t *testing.T) {
-	lin := LinearBuckets(time.Millisecond, time.Millisecond, 3)
-	want := []time.Duration{2 * time.Millisecond, 3 * time.Millisecond, 4 * time.Millisecond}
-	for i := range want {
-		if lin[i] != want[i] {
-			t.Fatalf("LinearBuckets = %v, want %v", lin, want)
-		}
-	}
-	exp := ExponentialBuckets(time.Millisecond, 10, 3)
-	if exp[0] != time.Millisecond || exp[1] != 10*time.Millisecond || exp[2] != 100*time.Millisecond {
-		t.Errorf("ExponentialBuckets = %v", exp)
-	}
 	for _, bs := range [][]time.Duration{RequestBuckets(), WriteBuckets()} {
 		for i := 1; i < len(bs); i++ {
 			if bs[i] <= bs[i-1] {

@@ -30,6 +30,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand/v2"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -44,8 +45,8 @@ func (id TraceID) IsZero() bool { return id.Hi == 0 && id.Lo == 0 }
 // String renders the ID as 32 lowercase hex digits.
 func (id TraceID) String() string { return fmt.Sprintf("%016x%016x", id.Hi, id.Lo) }
 
-// NewTraceID draws a random non-zero trace ID.
-func NewTraceID() TraceID {
+// newTraceID draws a random non-zero trace ID.
+func newTraceID() TraceID {
 	for {
 		id := TraceID{Hi: rand.Uint64(), Lo: rand.Uint64()}
 		if !id.IsZero() {
@@ -54,8 +55,8 @@ func NewTraceID() TraceID {
 	}
 }
 
-// NewSpanID draws a random non-zero span ID.
-func NewSpanID() uint64 {
+// newSpanID draws a random non-zero span ID.
+func newSpanID() uint64 {
 	for {
 		if v := rand.Uint64(); v != 0 {
 			return v
@@ -210,7 +211,7 @@ func Start(ctx context.Context, name string) (context.Context, *ActiveSpan) {
 	}
 	sp := &ActiveSpan{rec: a.rec, span: Span{
 		Trace:   a.rec.trace,
-		ID:      NewSpanID(),
+		ID:      newSpanID(),
 		Parent:  a.spanID,
 		Service: a.rec.service,
 		Name:    name,
@@ -219,18 +220,66 @@ func Start(ctx context.Context, name string) (context.Context, *ActiveSpan) {
 	return newContext(ctx, a.rec, sp.span.ID), sp
 }
 
-// AddCompleted records an already-timed child span under ctx's active
-// span — for stages timed by existing instrumentation (the arena-scan
-// observer) where opening an ActiveSpan would be redundant. No-op on an
-// untraced context.
-func AddCompleted(ctx context.Context, name string, start time.Time, d time.Duration, attrs ...Attr) {
+// Observer receives a timed stage's duration. *telemetry.Histogram is one;
+// taking the interface keeps this package free of a metrics dependency.
+type Observer interface{ Observe(time.Duration) }
+
+// observing returns o, or nil when o records nothing: a nil interface, or a
+// nil pointer stored in one, such as a disabled *telemetry.Histogram.
+func observing(o Observer) Observer {
+	if o == nil {
+		return nil
+	}
+	if v := reflect.ValueOf(o); v.Kind() == reflect.Pointer && v.IsNil() {
+		return nil
+	}
+	return o
+}
+
+// Timer times one stage for both sinks at once: a child span under a
+// sampled context and an observation on an attached Observer. The zero
+// Timer is inert.
+type Timer struct {
+	ctx   context.Context
+	name  string
+	obs   Observer
+	start time.Time
+}
+
+// StartTimer starts timing the stage name. When ctx is unsampled and obs
+// records nothing it reads no clock and allocates nothing, so hot paths
+// call it unconditionally.
+func StartTimer(ctx context.Context, name string, obs Observer) Timer {
+	obs = observing(obs)
+	if obs == nil && !Sampled(ctx) {
+		return Timer{}
+	}
+	return Timer{ctx: ctx, name: name, obs: obs, start: time.Now()}
+}
+
+// Stop ends the stage and records it (see AddCompleted). No-op on an inert
+// Timer.
+func (t Timer) Stop() {
+	if t.ctx != nil {
+		AddCompleted(t.ctx, t.name, t.start, time.Since(t.start), t.obs)
+	}
+}
+
+// AddCompleted records an already-timed stage: d is observed on obs when it
+// records, and a child span is added under ctx's active span when ctx is
+// sampled. It is what Timer.Stop calls, and what stages timed elsewhere
+// (the arena-scan hook, a checkpoint's pause) call directly.
+func AddCompleted(ctx context.Context, name string, start time.Time, d time.Duration, obs Observer, attrs ...Attr) {
+	if obs = observing(obs); obs != nil {
+		obs.Observe(d)
+	}
 	a, ok := fromContext(ctx)
 	if !ok {
 		return
 	}
 	a.rec.add(Span{
 		Trace:    a.rec.trace,
-		ID:       NewSpanID(),
+		ID:       newSpanID(),
 		Parent:   a.spanID,
 		Service:  a.rec.service,
 		Name:     name,
@@ -313,14 +362,6 @@ func New(service string, sampleN int, buf *Buffer) *Tracer {
 	return &Tracer{service: service, sampleN: sampleN, buf: buf}
 }
 
-// Service returns the tracer's process name.
-func (t *Tracer) Service() string {
-	if t == nil {
-		return ""
-	}
-	return t.service
-}
-
 // TraceBuffer returns the destination buffer (nil when none).
 func (t *Tracer) TraceBuffer() *Buffer {
 	if t == nil {
@@ -338,19 +379,16 @@ func (t *Tracer) sampleHead() bool {
 	return t.n.Add(1)%uint64(t.sampleN) == 0
 }
 
-// SampleBackground exposes the head sampler for work with no originating
-// request — replication applies and similar streams that would flood the
-// buffer if every unit were recorded.
-func (t *Tracer) SampleBackground() bool { return t.sampleHead() }
-
 // StartRequest opens the root span of a locally originated trace if the
 // head sampler fires (or force is set, as `mkse-client trace` does).
-// Returns (ctx, nil) when not sampled.
+// Background work with no originating request — checkpoints, replication
+// applies, observer ticks — opens its root the same way. Returns (ctx, nil)
+// when not sampled.
 func (t *Tracer) StartRequest(ctx context.Context, name string, force bool) (context.Context, *ActiveSpan) {
 	if t == nil || (!force && !t.sampleHead()) {
 		return ctx, nil
 	}
-	return t.startRoot(ctx, name, NewTraceID(), 0)
+	return t.startRoot(ctx, name, newTraceID(), 0)
 }
 
 // ContinueRequest adopts a sampled context carried on an incoming request,
@@ -367,14 +405,14 @@ func (t *Tracer) ContinueRequest(ctx context.Context, name string, parent SpanCo
 	if !t.sampleHead() {
 		return ctx, nil
 	}
-	return t.startRoot(ctx, name, NewTraceID(), 0)
+	return t.startRoot(ctx, name, newTraceID(), 0)
 }
 
 func (t *Tracer) startRoot(ctx context.Context, name string, id TraceID, parent uint64) (context.Context, *ActiveSpan) {
 	rec := &Recorder{tracer: t, trace: id, service: t.service}
 	sp := &ActiveSpan{rec: rec, span: Span{
 		Trace:   id,
-		ID:      NewSpanID(),
+		ID:      newSpanID(),
 		Parent:  parent,
 		Service: t.service,
 		Name:    name,
@@ -386,17 +424,16 @@ func (t *Tracer) startRoot(ctx context.Context, name string, id TraceID, parent 
 
 // RecordRoot records a complete single-span trace straight into the
 // buffer: the slow-capture path for requests that were not head-sampled
-// but crossed the slow threshold, and the background path for sampled
-// replication applies. Returns the new trace's ID (zero when the tracer
-// or its buffer is nil).
+// but crossed the slow threshold. Returns the new trace's ID (zero when the
+// tracer or its buffer is nil).
 func (t *Tracer) RecordRoot(name string, start time.Time, d time.Duration, attrs ...Attr) TraceID {
 	if t == nil || t.buf == nil {
 		return TraceID{}
 	}
-	id := NewTraceID()
+	id := newTraceID()
 	t.buf.Add(Trace{ID: id, Spans: []Span{{
 		Trace:    id,
-		ID:       NewSpanID(),
+		ID:       newSpanID(),
 		Service:  t.service,
 		Name:     name,
 		Start:    start,
@@ -404,14 +441,4 @@ func (t *Tracer) RecordRoot(name string, start time.Time, d time.Duration, attrs
 		Attrs:    attrs,
 	}}})
 	return id
-}
-
-// RecordSpans records a pre-built multi-span trace into the buffer —
-// background work with internal structure, like a checkpoint with its
-// pause sub-span. All spans must share Spans[0].Trace.
-func (t *Tracer) RecordSpans(spans []Span) {
-	if t == nil || t.buf == nil || len(spans) == 0 {
-		return
-	}
-	t.buf.Add(Trace{ID: spans[0].Trace, Spans: spans})
 }

@@ -40,7 +40,7 @@ func TestNilAndUnsampledPathsAreInert(t *testing.T) {
 	if id := tr.RecordRoot("x", time.Now(), time.Millisecond); !id.IsZero() {
 		t.Fatal("nil tracer recorded a root")
 	}
-	AddCompleted(ctx, "scan", time.Now(), time.Millisecond)
+	AddCompleted(ctx, "scan", time.Now(), time.Millisecond, nil)
 	Import(ctx, []Span{{Name: "x"}})
 }
 
@@ -88,12 +88,12 @@ func TestSpanTreeAssemblyAndImport(t *testing.T) {
 	if rroot == nil {
 		t.Fatal("server did not adopt sampled wire context")
 	}
-	AddCompleted(rctx, "scan", time.Now(), 2*time.Millisecond)
+	AddCompleted(rctx, "scan", time.Now(), 2*time.Millisecond, nil)
 	rroot.End()
 	Import(cctx, rroot.Spans())
 
 	// A span from a different trace must not import.
-	Import(cctx, []Span{{Trace: NewTraceID(), ID: NewSpanID(), Name: "alien"}})
+	Import(cctx, []Span{{Trace: newTraceID(), ID: newSpanID(), Name: "alien"}})
 
 	child.End()
 	root.End()
@@ -196,18 +196,74 @@ func TestBufferRingOverwrites(t *testing.T) {
 	}
 }
 
+// Background work opens its root the way a request does, and its timed
+// stages land under that root.
 func TestBackgroundSpansRecord(t *testing.T) {
 	buf := NewBuffer(16)
-	tr := New("durable", 1, buf)
-	id := NewTraceID()
-	rootID := NewSpanID()
-	start := time.Now()
-	tr.RecordSpans([]Span{
-		{Trace: id, ID: rootID, Service: "durable", Name: "durable.checkpoint", Start: start, Duration: 10 * time.Millisecond},
-		{Trace: id, ID: NewSpanID(), Parent: rootID, Service: "durable", Name: "checkpoint.pause", Start: start, Duration: 2 * time.Millisecond},
-	})
+	tr := New("durable", 0, buf)
+	ctx, root := tr.StartRequest(context.Background(), "durable.checkpoint", true)
+	AddCompleted(ctx, "checkpoint.pause", time.Now(), 2*time.Millisecond, nil)
+	root.End()
 	got := buf.Recent(10)
 	if len(got) != 1 || got[0].Root() == nil || got[0].Root().Name != "durable.checkpoint" {
 		t.Fatalf("checkpoint trace mis-recorded: %+v", got)
+	}
+	if spans := got[0].Spans; len(spans) != 2 || spans[0].Name != "checkpoint.pause" || spans[0].Parent != got[0].Root().ID {
+		t.Fatalf("pause span not under the checkpoint root: %+v", spans)
+	}
+}
+
+// histSpy is an Observer; a call on a nil *histSpy panics, so a typed-nil
+// spy that a Timer wrongly treats as attached fails the test.
+type histSpy struct{ got []time.Duration }
+
+func (h *histSpy) Observe(d time.Duration) { h.got = append(h.got, d) }
+
+func TestTimer(t *testing.T) {
+	bg := context.Background()
+	hist := &histSpy{got: make([]time.Duration, 0, 1000)}
+	for _, tc := range []struct {
+		name string
+		obs  Observer
+	}{
+		{"no observer", nil},
+		{"observer attached", hist},
+	} {
+		if got := testing.AllocsPerRun(100, func() {
+			StartTimer(bg, "wal.append", tc.obs).Stop()
+		}); got != 0 {
+			t.Errorf("%s: unsampled timer allocates %.0f times, want 0", tc.name, got)
+		}
+	}
+	if len(hist.got) == 0 {
+		t.Fatal("attached observer received nothing")
+	}
+
+	// A nil pointer in the interface is off: no clock read, nothing observed.
+	var off *histSpy
+	if sw := StartTimer(bg, "wal.append", off); sw != (Timer{}) {
+		t.Fatalf("typed-nil observer started a live timer: %+v", sw)
+	}
+	StartTimer(bg, "wal.append", off).Stop()
+	AddCompleted(bg, "scan", time.Now(), time.Millisecond, off)
+
+	// Sampled: one span under the active span, with the observed duration.
+	ctx, root := New("svc", 1, nil).StartRequest(bg, "server:upload", true)
+	spy := &histSpy{}
+	sw := StartTimer(ctx, "wal.fsync", spy)
+	time.Sleep(time.Millisecond)
+	sw.Stop()
+	root.End()
+	var span *Span
+	for _, sp := range root.Spans() {
+		if sp.Name == "wal.fsync" {
+			span = &sp
+		}
+	}
+	if span == nil || span.Parent != root.Context().Span {
+		t.Fatalf("sampled timer span missing or misparented: %+v", root.Spans())
+	}
+	if len(spy.got) != 1 || spy.got[0] != span.Duration || span.Duration <= 0 {
+		t.Fatalf("observer got %v, span lasted %v", spy.got, span.Duration)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"mkse/internal/cluster"
 	"mkse/internal/core"
 	"mkse/internal/corpus"
+	"mkse/internal/protocol"
 	"mkse/internal/rank"
 	"mkse/internal/service"
 )
@@ -208,7 +209,7 @@ func (s *System) FetchTrapdoors(u *User, words []string) error {
 		return nil
 	}
 	binIDs := u.BinIDs(missing)
-	msg := signableBins(u.ID, binIDs)
+	msg := protocol.SignableTrapdoor(u.ID, binIDs)
 	sig, err := u.Sign(msg)
 	if err != nil {
 		return err
@@ -221,15 +222,6 @@ func (s *System) FetchTrapdoors(u *User, words []string) error {
 		return err
 	}
 	return u.InstallTrapdoorKeys(binIDs, keys)
-}
-
-// signableBins is the in-process analogue of protocol.SignableTrapdoor.
-func signableBins(userID string, binIDs []int) []byte {
-	out := []byte("mkse/trapdoor\x00" + userID + "\x00")
-	for _, b := range binIDs {
-		out = append(out, byte(b>>24), byte(b>>16), byte(b>>8), byte(b))
-	}
-	return out
 }
 
 // Search obtains any missing trapdoors, builds a randomized query and runs
