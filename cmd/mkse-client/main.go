@@ -203,6 +203,9 @@ func printStats(cloudAddr string, asJSON bool) {
 	} else {
 		fmt.Printf("replica        no\n")
 	}
+	for _, f := range st.Followers {
+		fmt.Printf("follower       %s (acked %d)\n", f.Addr, f.Acked)
+	}
 	c := st.Cache
 	if !c.Enabled {
 		fmt.Printf("cache          disabled\n")

@@ -48,7 +48,7 @@
 // write-ahead log through its own -data directory (logging before applying,
 // so the follower is itself crash-safe), answers search and fetch requests,
 // rejects uploads and deletions, and reports its lag to read balancers via
-// the replica-status verb. It requires -data and the primary's scheme
+// the stats verb. It requires -data and the primary's scheme
 // parameters (-levels). A follower killed mid-catch-up resumes from its
 // recovered position on restart; restarting it without -replica-of promotes
 // it to a standalone primary over the same directory. A durably backed

@@ -68,7 +68,7 @@
 // point recovers and resumes from its acknowledged position, and can be
 // promoted to primary in place (see below). Followers reject writes,
 // answer searches and fetches, and report their lag (own position vs the
-// primary's, as heard on the stream) through a status verb. See
+// primary's, as heard on the stream) through the stats verb. See
 // EXPERIMENTS.md ("WAL-shipping replication") for catch-up throughput and
 // fan-out numbers, and examples/replication for a runnable deployment.
 //

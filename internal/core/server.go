@@ -184,9 +184,6 @@ func (s *Server) NumShards() int { return len(s.shards) }
 // internal/qcache.
 func (s *Server) Epoch() uint64 { return s.epoch.Load() }
 
-// NumWorkers returns the resolved search worker-pool size.
-func (s *Server) NumWorkers() int { return s.workers }
-
 // ObserveScans points the server's scan hook at fn: every subsequent search
 // or batch search calls it once with the caller's context and the raw
 // arena-scan timing (before any wire encoding or result caching). The

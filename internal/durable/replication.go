@@ -81,7 +81,7 @@ func (e *Engine) ReadWAL(from uint64, maxBytes int) (records [][]byte, next uint
 		}
 	}
 	if start < 0 {
-		return nil, from, fmt.Errorf("%w: need %d, oldest retained segment starts at %d", ErrTruncatedHistory, from, OldestOf(segs))
+		return nil, from, fmt.Errorf("%w: need %d, oldest retained segment starts at %d", ErrTruncatedHistory, from, e.OldestRetained())
 	}
 
 	var out [][]byte
@@ -123,14 +123,6 @@ func (e *Engine) ReadWAL(from uint64, maxBytes int) (records [][]byte, next uint
 		}
 	}
 	return out, from + uint64(len(out)), nil
-}
-
-// OldestOf returns the first (oldest) segment start of a sorted list, or 0.
-func OldestOf(segs []uint64) uint64 {
-	if len(segs) == 0 {
-		return 0
-	}
-	return segs[0]
 }
 
 // WaitWAL blocks until the engine's position exceeds from, the timeout

@@ -9,7 +9,6 @@ import (
 	"mkse/internal/bitindex"
 	"mkse/internal/core"
 	"mkse/internal/corpus"
-	"mkse/internal/histogram"
 )
 
 // ---------------------------------------------------------------------------
@@ -195,8 +194,8 @@ func VSweep(pairs int, seed int64) (*VSweepResult, error) {
 			}
 			return out
 		}
-		hd := histogram.New(0, 448, 16)
-		hs := histogram.New(0, 448, 16)
+		hd := newHistogram(0, 448, 16)
+		hs := newHistogram(0, 448, 16)
 		zeroSum := 0
 		for i := 0; i < pairs; i++ {
 			n := 2 + i%5
@@ -205,14 +204,14 @@ func VSweep(pairs int, seed int64) (*VSweepResult, error) {
 			qa1 := f.build(wordsA)
 			qa2 := f.build(wordsA)
 			qb := f.build(wordsB)
-			hs.Add(qa1.Hamming(qa2))
-			hd.Add(qa1.Hamming(qb))
+			hs.add(qa1.Hamming(qa2))
+			hd.add(qa1.Hamming(qb))
 			zeroSum += qa1.ZerosCount()
 		}
 		res.Points = append(res.Points, VSweepPoint{
 			V:             v,
 			U:             p.U,
-			Overlap:       histogram.OverlapCoefficient(hd, hs),
+			Overlap:       overlapCoefficient(hd, hs),
 			QueryZeroFrac: float64(zeroSum) / float64(pairs) / float64(p.R),
 		})
 	}

@@ -27,7 +27,6 @@ import (
 	"mkse/internal/bitindex"
 	"mkse/internal/core"
 	"mkse/internal/corpus"
-	"mkse/internal/histogram"
 	"mkse/internal/rank"
 )
 
@@ -75,9 +74,9 @@ func newExperimentOwner(levels rank.Levels, seed int64) (*core.Owner, error) {
 
 // Fig2Result carries the two distance distributions of one Figure 2 panel.
 type Fig2Result struct {
-	Different *histogram.Histogram // pairs with different genuine keywords
-	Same      *histogram.Histogram // pairs with identical genuine keywords
-	Overlap   float64              // distribution overlap coefficient (1 = indistinguishable)
+	Different *Histogram // pairs with different genuine keywords
+	Same      *Histogram // pairs with identical genuine keywords
+	Overlap   float64    // distribution overlap coefficient (1 = indistinguishable)
 }
 
 // Fig2a reproduces Figure 2(a): the adversary does not know the number of
@@ -100,8 +99,8 @@ func Fig2a(seed int64) (*Fig2Result, error) {
 		return out
 	}
 
-	histDiff := histogram.New(100, 200, 10)
-	histSame := histogram.New(100, 200, 10)
+	histDiff := newHistogram(100, 200, 10)
+	histSame := newHistogram(100, 200, 10)
 
 	// Former set: 50 indices per keyword count 2..6.
 	var former []*bitindex.Vector
@@ -117,7 +116,7 @@ func Fig2a(seed int64) (*Fig2Result, error) {
 	}
 	for _, a := range former {
 		for _, b := range probes {
-			histDiff.Add(a.Hamming(b))
+			histDiff.add(a.Hamming(b))
 		}
 	}
 	// Same-terms pairs: for each of 1250 comparisons, one keyword set,
@@ -125,12 +124,12 @@ func Fig2a(seed int64) (*Fig2Result, error) {
 	for i := 0; i < len(former)*len(probes); i++ {
 		n := 2 + i%5
 		words := pick(n)
-		histSame.Add(f.build(words).Hamming(f.build(words)))
+		histSame.add(f.build(words).Hamming(f.build(words)))
 	}
 	return &Fig2Result{
 		Different: histDiff,
 		Same:      histSame,
-		Overlap:   histogram.OverlapCoefficient(histDiff, histSame),
+		Overlap:   overlapCoefficient(histDiff, histSame),
 	}, nil
 }
 
@@ -153,24 +152,24 @@ func Fig2b(seed int64) (*Fig2Result, error) {
 		return out
 	}
 
-	histDiff := histogram.New(100, 200, 10)
-	histSame := histogram.New(100, 200, 10)
+	histDiff := newHistogram(100, 200, 10)
+	histSame := newHistogram(100, 200, 10)
 
 	probeWords := pick(5)
 	probe := f.build(probeWords)
 	for n := 2; n <= 6; n++ {
 		for i := 0; i < 200; i++ {
-			histDiff.Add(f.build(pick(n)).Hamming(probe))
+			histDiff.add(f.build(pick(n)).Hamming(probe))
 		}
 	}
 	sameWords := pick(5)
 	for i := 0; i < 1000; i++ {
-		histSame.Add(f.build(sameWords).Hamming(f.build(sameWords)))
+		histSame.add(f.build(sameWords).Hamming(f.build(sameWords)))
 	}
 	return &Fig2Result{
 		Different: histDiff,
 		Same:      histSame,
-		Overlap:   histogram.OverlapCoefficient(histDiff, histSame),
+		Overlap:   overlapCoefficient(histDiff, histSame),
 	}, nil
 }
 
@@ -178,7 +177,7 @@ func Fig2b(seed int64) (*Fig2Result, error) {
 func (r *Fig2Result) Format(title string) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s\n", title)
-	b.WriteString(histogram.RenderPair("different qry", r.Different, "same qry", r.Same))
+	b.WriteString(renderPair("different qry", r.Different, "same qry", r.Same))
 	fmt.Fprintf(&b, "distribution overlap coefficient: %.3f (1.0 = indistinguishable)\n", r.Overlap)
 	return b.String()
 }

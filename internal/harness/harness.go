@@ -163,15 +163,6 @@ func (c *Cluster) Config() cluster.Config {
 	return cfg
 }
 
-// Addrs returns the primary addresses in partition order.
-func (c *Cluster) Addrs() []string {
-	addrs := make([]string, len(c.Primaries))
-	for i, n := range c.Primaries {
-		addrs[i] = n.Addr
-	}
-	return addrs
-}
-
 // WaitConverged blocks until every follower has replayed its primary's log
 // to the primary's current position, or the timeout elapses.
 func (c *Cluster) WaitConverged(timeout time.Duration) error {

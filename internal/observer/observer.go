@@ -245,7 +245,7 @@ func (o *Observer) Tick() {
 // candidate is one follower's probe result during an election.
 type candidate struct {
 	addr string
-	st   *protocol.ReplicaStatusResponse
+	st   *protocol.StatsResponse
 }
 
 // failover elects and promotes a replacement for the dead primary. Any step
@@ -303,7 +303,7 @@ func (o *Observer) failover(deadPrimary string) {
 		// on ties, making the election deterministic.
 		best := cands[0]
 		for _, c := range cands[1:] {
-			if c.st.Position > best.st.Position {
+			if c.st.WALPosition > best.st.WALPosition {
 				best = c
 			}
 		}
@@ -383,15 +383,15 @@ func (o *Observer) retryPending() {
 // Every observer action goes through protocol.Call under the probe timeout:
 // an unresponsive daemon must never wedge the probe loop.
 
-func (o *Observer) probe(addr string) (*protocol.ReplicaStatusResponse, error) {
-	resp, err := protocol.Call(addr, &protocol.Message{ReplicaStatusReq: &protocol.ReplicaStatusRequest{}}, o.probeTimeout())
+func (o *Observer) probe(addr string) (*protocol.StatsResponse, error) {
+	resp, err := protocol.Call(addr, &protocol.Message{StatsReq: &protocol.StatsRequest{}}, o.probeTimeout())
 	if err != nil {
 		return nil, err
 	}
-	if resp.ReplicaStatusResp == nil {
-		return nil, fmt.Errorf("observer: status response missing")
+	if resp.StatsResp == nil {
+		return nil, fmt.Errorf("observer: stats response missing")
 	}
-	return resp.ReplicaStatusResp, nil
+	return resp.StatsResp, nil
 }
 
 func (o *Observer) rpcPromote(addr string, term uint64) (*protocol.PromoteResponse, error) {

@@ -123,9 +123,6 @@ type Message struct {
 	ReplicaRecords       *ReplicaRecordBatch
 	ReplicaAck           *ReplicaAckMsg
 
-	ReplicaStatusReq  *ReplicaStatusRequest
-	ReplicaStatusResp *ReplicaStatusResponse
-
 	PromoteReq  *PromoteRequest
 	PromoteResp *PromoteResponse
 
@@ -429,34 +426,6 @@ type ReplicaAckMsg struct {
 	Term     uint64
 }
 
-// ReplicaStatusRequest asks any cloud daemon where it stands in the
-// replicated log. Read balancers use it to route queries away from lagging
-// followers; operators use it to watch catch-up.
-type ReplicaStatusRequest struct{}
-
-// FollowerWire is one connected follower as seen by the primary.
-type FollowerWire struct {
-	Addr  string // follower's remote address on the replication stream
-	Acked uint64 // last position the follower acknowledged applying
-}
-
-// ReplicaStatusResponse reports a daemon's replication position. On a
-// primary, Position and PrimaryPosition are equal and Followers lists every
-// connected replication stream. On a follower, Position is its own applied
-// log position, PrimaryPosition is the newest position heard from the
-// primary (their difference is the follower's lag), and Connected says
-// whether the stream is currently up. Durable is false on a memory-only
-// daemon, which has no log to replicate.
-type ReplicaStatusResponse struct {
-	Durable         bool
-	Replica         bool
-	Connected       bool
-	Position        uint64
-	PrimaryPosition uint64
-	Term            uint64 // the daemon's promotion (fencing) term
-	Followers       []FollowerWire
-}
-
 // PromoteRequest flips a live follower to primary in place: stop following,
 // raise the promotion term to Term, start accepting writes. Term is the
 // caller's (the observer's) claim — it must exceed the daemon's current
@@ -491,8 +460,9 @@ type ReconfigureResponse struct {
 	Term uint64 // the daemon's term after applying the instruction
 }
 
-// StatsRequest asks a cloud daemon for its operational counters: one
-// round-trip introspection for operators and read balancers.
+// StatsRequest asks a cloud daemon for its operational counters and where
+// it stands in the replicated log: the one status verb for operators, read
+// balancers and the failover observer.
 type StatsRequest struct{}
 
 // CacheStatsWire reports the daemon's query-result cache counters
@@ -509,12 +479,20 @@ type CacheStatsWire struct {
 	MaxBytes      int64
 }
 
+// FollowerWire is one connected follower as seen by the primary.
+type FollowerWire struct {
+	Addr  string // follower's remote address on the replication stream
+	Acked uint64 // last position the follower acknowledged applying
+}
+
 // StatsResponse is a point-in-time view of one cloud daemon. WALPosition is
 // the daemon's own log sequence number (zero on a memory-only daemon, where
-// Durable is false). On a follower, Replica is true and PrimaryPosition is
-// the newest position heard from the primary — PrimaryPosition minus
-// WALPosition is the replication lag in records; on a primary or standalone
-// daemon the two positions are equal.
+// Durable is false). On a follower, Replica is true, ReplicaConnected says
+// whether the stream is currently up, and PrimaryPosition is the newest
+// position heard from the primary — PrimaryPosition minus WALPosition is
+// the replication lag in records; on a primary or standalone daemon the two
+// positions are equal and Followers lists every connected replication
+// stream, sorted by address.
 type StatsResponse struct {
 	NumDocuments int
 	NumShards    int
@@ -527,6 +505,7 @@ type StatsResponse struct {
 	ReplicaConnected bool
 	PrimaryPosition  uint64
 	Term             uint64 // promotion (fencing) term; bumps on every failover
+	Followers        []FollowerWire
 
 	// Partition identity (see ClusterInfoResponse); Partitions is 0 on a
 	// daemon that is not part of a cluster.

@@ -6,6 +6,7 @@ import (
 	"io"
 	"math/big"
 	"net"
+	"reflect"
 	"testing"
 	"time"
 
@@ -372,7 +373,8 @@ func TestStatsMessagesRoundTrip(t *testing.T) {
 	resp := &StatsResponse{
 		NumDocuments: 123, NumShards: 8, Epoch: 456,
 		Durable: true, WALPosition: 789,
-		Replica: true, ReplicaConnected: true, PrimaryPosition: 800,
+		Replica: true, ReplicaConnected: true, PrimaryPosition: 800, Term: 3,
+		Followers: []FollowerWire{{Addr: "10.0.0.7:1234", Acked: 41}, {Addr: "10.0.0.8:1234", Acked: 42}},
 		Cache: CacheStatsWire{
 			Enabled: true, Hits: 10, Misses: 3, Evictions: 1, Invalidations: 2,
 			Entries: 7, Bytes: 4096, MaxBytes: 1 << 20,
@@ -385,7 +387,7 @@ func TestStatsMessagesRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.StatsResp == nil || *got.StatsResp != *resp {
+	if got.StatsResp == nil || !reflect.DeepEqual(got.StatsResp, resp) {
 		t.Fatalf("StatsResp mangled: %+v", got.StatsResp)
 	}
 }
@@ -400,12 +402,6 @@ func TestReplicationMessagesRoundTrip(t *testing.T) {
 		{ReplicaRecords: &ReplicaRecordBatch{From: 40, Records: [][]byte{{1, 2}, {3}}, Position: 42}},
 		{ReplicaRecords: &ReplicaRecordBatch{From: 42, Position: 42}}, // heartbeat
 		{ReplicaAck: &ReplicaAckMsg{Position: 42}},
-		{ReplicaStatusReq: &ReplicaStatusRequest{}},
-		{ReplicaStatusResp: &ReplicaStatusResponse{
-			Durable: true, Replica: true, Connected: true,
-			Position: 42, PrimaryPosition: 50,
-			Followers: []FollowerWire{{Addr: "10.0.0.7:1234", Acked: 41}},
-		}},
 	}
 	for _, m := range msgs {
 		if err := c.Send(m); err != nil {
@@ -439,18 +435,6 @@ func TestReplicationMessagesRoundTrip(t *testing.T) {
 	ack, err := c.Recv()
 	if err != nil || ack.ReplicaAck == nil || ack.ReplicaAck.Position != 42 {
 		t.Fatalf("ack mangled: %+v (%v)", ack, err)
-	}
-	if sreq, err := c.Recv(); err != nil || sreq.ReplicaStatusReq == nil {
-		t.Fatalf("status request mangled: %+v (%v)", sreq, err)
-	}
-	st, err := c.Recv()
-	if err != nil || st.ReplicaStatusResp == nil {
-		t.Fatalf("status response missing: %v", err)
-	}
-	got := st.ReplicaStatusResp
-	if !got.Durable || !got.Replica || !got.Connected || got.Position != 42 || got.PrimaryPosition != 50 ||
-		len(got.Followers) != 1 || got.Followers[0].Addr != "10.0.0.7:1234" || got.Followers[0].Acked != 41 {
-		t.Fatalf("status response mangled: %+v", got)
 	}
 }
 

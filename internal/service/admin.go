@@ -161,17 +161,3 @@ func Promote(cloudAddr string, term uint64) (*protocol.PromoteResponse, error) {
 	}
 	return resp.PromoteResp, nil
 }
-
-// Reconfigure repoints the daemon at cloudAddr to follow primaryAddr (or
-// detaches it into standalone mode when primaryAddr is empty), authenticated
-// by the promotion term of the failover that motivated it.
-func Reconfigure(cloudAddr, primaryAddr string, term uint64) error {
-	resp, err := protocol.Call(cloudAddr, &protocol.Message{ReconfigureReq: &protocol.ReconfigureRequest{Primary: primaryAddr, Term: term}}, DialTimeout)
-	if err != nil {
-		return fmt.Errorf("service: reconfigure: %w", err)
-	}
-	if resp.ReconfigureResp == nil {
-		return fmt.Errorf("service: reconfigure response missing")
-	}
-	return nil
-}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"log/slog"
 	"net"
+	"sort"
 	"strconv"
 	"sync"
 	"time"
@@ -211,8 +212,6 @@ func (s *CloudService) dispatch(ctx context.Context, pc *protocol.Conn, conn net
 		conn.SetReadDeadline(time.Time{})
 		s.handleReplicaSubscribe(pc, conn.RemoteAddr().String(), m.ReplicaSubscribeReq)
 		return nil
-	case VerbReplicaStatus:
-		return s.handleReplicaStatus()
 	case VerbPromote:
 		return s.handlePromote(m.PromoteReq)
 	case VerbReconfigure:
@@ -569,8 +568,9 @@ func (s *CloudService) SearchBatchWireCtx(ctx context.Context, req *protocol.Sea
 }
 
 // handleStats reports the daemon's operational counters: store size and
-// layout, mutation epoch, log position (with replication lag on a
-// follower), and the query-result cache counters.
+// layout, mutation epoch, log position and term (with replication lag on a
+// follower, and the acknowledged position of every connected follower on a
+// primary), and the query-result cache counters.
 func (s *CloudService) handleStats() *protocol.Message {
 	resp := &protocol.StatsResponse{
 		NumDocuments: s.Server.NumDocuments(),
@@ -592,6 +592,12 @@ func (s *CloudService) handleStats() *protocol.Message {
 		resp.WALPosition = st.Position
 		resp.PrimaryPosition = st.PrimaryPosition
 	}
+	s.replMu.Lock()
+	for f := range s.followers {
+		resp.Followers = append(resp.Followers, protocol.FollowerWire{Addr: f.addr, Acked: f.acked.Load()})
+	}
+	s.replMu.Unlock()
+	sort.Slice(resp.Followers, func(i, j int) bool { return resp.Followers[i].Addr < resp.Followers[j].Addr })
 	if s.Cache != nil {
 		cs := s.Cache.Stats()
 		resp.Cache = protocol.CacheStatsWire{

@@ -357,3 +357,58 @@ func TestIdleTimeoutDropsQuietConnsButSparesStreams(t *testing.T) {
 		t.Fatal("replication stream did not survive the idle timeout")
 	}
 }
+
+// A primary cut off from everyone but still alive is never fenced if no
+// peer reaches it with the newer term. When it reappears after its
+// successor died, the client must not adopt it: a surviving replica
+// reports the newer term, so the zombie's term-0 primacy is stale, and the
+// write must fail rather than fork the partition's history.
+func TestFollowPrimaryRefusesLowerTermZombie(t *testing.T) {
+	pr, f1, ownerAddr, _, items := startFollowedPrimary(t, 50)
+	f2 := startReplFollower(t, pr.eng.Server().Params(), t.TempDir(), pr.addr)
+	waitConverged(t, pr.eng, f2.eng)
+	proxy, err := faultnet.Listen(pr.addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer proxy.Close()
+
+	client, err := Dial("zombie-user", ownerAddr, proxy.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	if err := client.AddReadReplicas(f1.addr, f2.addr); err != nil {
+		t.Fatal(err)
+	}
+
+	// P drops off the client's network but keeps running; F1 is promoted
+	// and F2 repointed at it. Nobody tells P.
+	proxy.Sever()
+	if _, err := Promote(f1.addr, 1); err != nil {
+		t.Fatalf("promote: %v", err)
+	}
+	if _, err := protocol.Call(f2.addr, &protocol.Message{ReconfigureReq: &protocol.ReconfigureRequest{Primary: f1.addr, Term: 1}}, DialTimeout); err != nil {
+		t.Fatalf("reconfigure: %v", err)
+	}
+	if err := client.Delete(items[0].Doc.ID); err != nil {
+		t.Fatalf("delete across failover: %v", err)
+	}
+	waitConverged(t, f1.eng, f2.eng)
+	if f2.eng.Term() != 1 {
+		t.Fatalf("F2 at term %d after following F1, want 1", f2.eng.Term())
+	}
+
+	// F1 dies and P is reachable again, still a term-0 primary.
+	f1.svc.Drain(0)
+	f1.stop()
+	proxy.Resume()
+	zombie := items[1].Doc.ID
+	err = client.Delete(zombie)
+	if _, ferr := pr.eng.Server().Fetch(zombie); ferr != nil {
+		t.Fatalf("the delete landed on the term-0 zombie (client error: %v)", err)
+	}
+	if err == nil {
+		t.Fatal("delete acknowledged with no primary at the current term")
+	}
+}

@@ -22,7 +22,6 @@ const (
 	VerbFetch            = "fetch"
 	VerbStats            = "stats"
 	VerbReplicaSubscribe = "replicasubscribe"
-	VerbReplicaStatus    = "replicastatus"
 	VerbPromote          = "promote"
 	VerbReconfigure      = "reconfigure"
 	VerbClusterInfo      = "clusterinfo"
@@ -33,8 +32,8 @@ const (
 // the first scrape (Prometheus rate() needs the zero sample).
 var verbs = []string{
 	VerbUpload, VerbDelete, VerbSearch, VerbSearchBatch, VerbFetch,
-	VerbStats, VerbReplicaSubscribe, VerbReplicaStatus, VerbPromote,
-	VerbReconfigure, VerbClusterInfo,
+	VerbStats, VerbReplicaSubscribe, VerbPromote, VerbReconfigure,
+	VerbClusterInfo,
 }
 
 // verbOf classifies a decoded message by its populated request field.
@@ -54,8 +53,6 @@ func verbOf(m *protocol.Message) string {
 		return VerbStats
 	case m.ReplicaSubscribeReq != nil:
 		return VerbReplicaSubscribe
-	case m.ReplicaStatusReq != nil:
-		return VerbReplicaStatus
 	case m.PromoteReq != nil:
 		return VerbPromote
 	case m.ReconfigureReq != nil:

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"log/slog"
 	"net"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -224,33 +223,6 @@ func (s *CloudService) removeFollower(f *follower) {
 	s.replMu.Lock()
 	defer s.replMu.Unlock()
 	delete(s.followers, f)
-}
-
-// handleReplicaStatus reports where this daemon stands in the replicated
-// log: its own position, the primary's (as last heard, for a follower), and
-// the acknowledged position of every connected follower (for a primary).
-func (s *CloudService) handleReplicaStatus() *protocol.Message {
-	resp := &protocol.ReplicaStatusResponse{}
-	if s.WAL != nil {
-		resp.Durable = true
-		resp.Position = s.WAL.Position()
-		resp.PrimaryPosition = resp.Position
-		resp.Term = s.WAL.Term()
-	}
-	if r := s.replica(); r != nil {
-		st := r.Status()
-		resp.Replica = true
-		resp.Connected = st.Connected
-		resp.Position = st.Position
-		resp.PrimaryPosition = st.PrimaryPosition
-	}
-	s.replMu.Lock()
-	for f := range s.followers {
-		resp.Followers = append(resp.Followers, protocol.FollowerWire{Addr: f.addr, Acked: f.acked.Load()})
-	}
-	s.replMu.Unlock()
-	sort.Slice(resp.Followers, func(i, j int) bool { return resp.Followers[i].Addr < resp.Followers[j].Addr })
-	return &protocol.Message{ReplicaStatusResp: resp}
 }
 
 // ReplicaStatus is a point-in-time view of a follower's replication stream.

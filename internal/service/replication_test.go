@@ -519,35 +519,44 @@ func TestReplicaStatusReportsPositionsAndFollowers(t *testing.T) {
 	}
 	fo := startReplFollower(t, p, t.TempDir(), pr.addr)
 	waitConverged(t, pr.eng, fo.eng)
+	memSrv, err := core.NewServer(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mem := serveLoopback(t, (&CloudService{Server: memSrv}).Serve)
 
-	status := func(addr string) *protocol.ReplicaStatusResponse {
+	stats := func(addr string) *protocol.StatsResponse {
 		conn, err := net.Dial("tcp", addr)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer conn.Close()
-		resp, err := protocol.NewConn(conn).Roundtrip(&protocol.Message{ReplicaStatusReq: &protocol.ReplicaStatusRequest{}})
-		if err != nil || resp.ReplicaStatusResp == nil {
-			t.Fatalf("status from %s: %v", addr, err)
+		resp, err := protocol.NewConn(conn).Roundtrip(&protocol.Message{StatsReq: &protocol.StatsRequest{}})
+		if err != nil || resp.StatsResp == nil {
+			t.Fatalf("stats from %s: %v", addr, err)
 		}
-		return resp.ReplicaStatusResp
+		return resp.StatsResp
 	}
 
-	fs := status(fo.addr)
-	if !fs.Replica || !fs.Durable {
-		t.Fatalf("follower status: %+v, want Replica and Durable", fs)
+	if ms := stats(mem); ms.Durable || ms.Replica || ms.WALPosition != 0 || len(ms.Followers) != 0 {
+		t.Fatalf("memory-only stats: %+v, want no log and no replication", ms)
 	}
-	if fs.Position != 10 || fs.PrimaryPosition < fs.Position {
-		t.Fatalf("follower positions: own %d, primary %d", fs.Position, fs.PrimaryPosition)
+
+	fs := stats(fo.addr)
+	if !fs.Replica || !fs.Durable || !fs.ReplicaConnected || len(fs.Followers) != 0 {
+		t.Fatalf("follower stats: %+v, want a connected durable replica with no followers", fs)
+	}
+	if fs.WALPosition != 10 || fs.PrimaryPosition < fs.WALPosition {
+		t.Fatalf("follower positions: own %d, primary %d", fs.WALPosition, fs.PrimaryPosition)
 	}
 
 	// The primary learns the follower's acked position; acks trail the
 	// stream by one exchange, so poll briefly.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		ps := status(pr.addr)
-		if ps.Replica {
-			t.Fatalf("primary claims to be a replica: %+v", ps)
+		ps := stats(pr.addr)
+		if ps.Replica || !ps.Durable || ps.WALPosition != 10 || ps.PrimaryPosition != 10 {
+			t.Fatalf("primary stats: %+v, want a durable non-replica at position 10", ps)
 		}
 		if len(ps.Followers) == 1 && ps.Followers[0].Acked == 10 {
 			break

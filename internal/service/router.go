@@ -262,39 +262,45 @@ func (c *Client) askPrimary(ctx context.Context, p *partition, m *protocol.Messa
 // followPrimary re-discovers a partition's primary after losing it: it asks
 // every replica where it stands, and a durable daemon that no longer calls
 // itself a replica — the promoted survivor, preferring the highest
-// promotion term — takes over the primary role. The deposed endpoint joins
-// the replica list: if that daemon resurrects, it will be as a follower.
+// promotion term — takes over the primary role. A candidate below the
+// highest term any replica reports is a deposed primary that was never
+// fenced, and is refused. The deposed endpoint joins the replica list: if
+// that daemon resurrects, it will be as a follower.
 func (c *Client) followPrimary(p *partition) bool {
 	best := -1
-	var bestTerm uint64
+	var bestTerm, maxTerm uint64
 	for i, ep := range p.replicas {
-		st, err := c.replicaStatus(ep)
-		if err != nil || !st.Durable || st.Replica {
+		st, err := c.stats(ep)
+		if err != nil {
+			continue
+		}
+		maxTerm = max(maxTerm, st.Term)
+		if !st.Durable || st.Replica {
 			continue
 		}
 		if best < 0 || st.Term > bestTerm {
 			best, bestTerm = i, st.Term
 		}
 	}
-	if best < 0 {
+	if best < 0 || bestTerm < maxTerm {
 		return false
 	}
 	p.primary, p.replicas[best] = p.replicas[best], p.primary
 	return true
 }
 
-// replicaStatus asks a server where it stands in the replicated log, on
-// the endpoint's own connection and under the partition timeout.
-func (c *Client) replicaStatus(ep *endpoint) (*protocol.ReplicaStatusResponse, error) {
-	resp, err := ep.call(&protocol.Message{ReplicaStatusReq: &protocol.ReplicaStatusRequest{}},
+// stats asks a server where it stands, on the endpoint's own connection and
+// under the partition timeout.
+func (c *Client) stats(ep *endpoint) (*protocol.StatsResponse, error) {
+	resp, err := ep.call(&protocol.Message{StatsReq: &protocol.StatsRequest{}},
 		redialTimeout, c.partitionTimeout())
 	if err != nil {
 		return nil, err
 	}
-	if resp.ReplicaStatusResp == nil {
-		return nil, errors.New("service: replica status response missing")
+	if resp.StatsResp == nil {
+		return nil, errors.New("service: stats response missing")
 	}
-	return resp.ReplicaStatusResp, nil
+	return resp.StatsResp, nil
 }
 
 // pickReplica rotates over the partition's read rotation and returns the
@@ -324,14 +330,14 @@ func (c *Client) caughtUp(ep *endpoint) bool {
 		return false
 	}
 	if now.Sub(ep.checkedAt) >= c.probeEvery() {
-		st, err := c.replicaStatus(ep)
+		st, err := c.stats(ep)
 		if err != nil {
 			ep.bench(c.probeEvery())
 			return false
 		}
 		ep.checkedAt = now
 		ep.fails = 0
-		ep.lagging = st.PrimaryPosition-st.Position > c.maxLag() || (st.Replica && !st.Connected)
+		ep.lagging = st.PrimaryPosition-st.WALPosition > c.maxLag() || (st.Replica && !st.ReplicaConnected)
 	}
 	return !ep.lagging
 }

@@ -105,11 +105,6 @@ func (b *Buffer) SetSlowThreshold(d time.Duration) {
 	b.slowNS.Store(int64(d))
 }
 
-// SlowThreshold returns the current slow-retention threshold.
-func (b *Buffer) SlowThreshold() time.Duration {
-	return time.Duration(b.slowNS.Load())
-}
-
 // Add records a completed trace. Nil-safe.
 func (b *Buffer) Add(tr Trace) {
 	if b == nil || len(tr.Spans) == 0 {
