@@ -20,21 +20,22 @@
 //
 // # Server engine
 //
-// The server stores indices in sharded columnar arenas — one flat []uint64
-// per (shard, ranking level) holding every document's index words
-// back-to-back, plus a word-major transpose of level 0 (one contiguous
-// column per 64-bit word offset). Each query is preprocessed into the few
-// words where ¬q ≠ 0 (the only words Equation 3 can fail on), and the
-// level-0 screen sweeps just those columns with a blocked
-// bitmap-refinement kernel: a branch-free pass over the first active
-// column yields a survivor bitmask per 64 documents, and only surviving
-// blocks are tested against the remaining active columns, most selective
-// first. Searches fan out over the shards to persistent shard-affine
-// workers, keep bounded top-τ heaps, and reuse pooled scratch so the
-// steady-state query path is allocation-free; results are byte-identical
-// to the paper's sequential scan. See core.Server and ARCHITECTURE.md
-// ("Index arena layouts") for the layouts, and bench/README.md for the
-// measurements (workload scan_large runs 400k documents).
+// The server stores indices in sharded word-major arenas — one contiguous
+// []uint64 column per (shard, ranking level, 64-bit word offset), so each
+// document's index is stored once, at every level in the same layout. Each
+// query is preprocessed into the few words where ¬q ≠ 0 (the only words
+// Equation 3 can fail on); the level-1 screen sweeps just those columns
+// with a blocked bitmap-refinement kernel: a branch-free pass over the
+// first active column yields a survivor bitmask per 64 documents, and only
+// surviving blocks are tested against the remaining active columns, most
+// selective first. The rank walk reads each survivor's active words from
+// the higher levels' columns. Searches fan out over the shards to
+// persistent shard-affine workers, keep bounded top-τ heaps, and reuse
+// pooled scratch so the steady-state query path is allocation-free;
+// results are byte-identical to the paper's sequential scan. See
+// core.Server and ARCHITECTURE.md ("Index arena layouts") for the layout,
+// and bench/README.md for the measurements (workload scan_large runs 400k
+// documents).
 //
 // # Persistence and crash recovery
 //

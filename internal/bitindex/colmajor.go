@@ -6,15 +6,13 @@ import (
 	"slices"
 )
 
-// This file is the word-major (transposed) face of the arena design. The
-// row-major kernels of sparse.go touch one word per row at stride-word
-// spacing, so at realistic strides (r = 448 bits ⇒ 7 words = 56 bytes per
-// row) the fail-fast first-word test still drags a whole cache line per
-// document through the core — the scan is bandwidth-bound an order of
-// magnitude before it needs to be. Storing level 0 word-major — one
-// contiguous column per word offset, cols[w][row] — turns the same test into
-// a sequential sweep of exactly the columns the query is active on: eight
-// rows per cache line instead of one.
+// This file is the whole-arena scan kernel over the word-major layout every
+// index level is stored in — one contiguous column per word offset,
+// cols[w][row]. A row-major layout would put consecutive rows' copies of one
+// word a full row apart (r = 448 bits ⇒ 7 words = 56 bytes), so the
+// fail-fast first-word test would drag a whole cache line per document
+// through the core. Word-major, the same test is a sequential sweep of
+// exactly the columns the query is active on: eight rows per cache line.
 //
 // AppendMatchingRowsColumns is the blocked bitmap-refinement kernel over that
 // layout. It scans the first active word's column once, branch-free,
@@ -23,7 +21,7 @@ import (
 // column first (selectivity measured on a small block sample), and a block
 // whose mask empties is dropped from the live set for all remaining columns.
 // The emitted row set is defined to be identical — order included — to
-// AppendMatchingRows over the equivalent row-major arena.
+// testing every row with Vector.Matches in ascending row order.
 
 // BlockScratch is the reusable working set of AppendMatchingRowsColumns: the
 // per-block survivor bitmap, the live-block list and the column evaluation
@@ -101,13 +99,12 @@ func blockSurvivors(col []uint64, base, rows int, m uint64) uint64 {
 	return survivorsTail(col[base:rows], m)
 }
 
-// AppendMatchingRowsColumns scans a word-major level-0 arena — cols[w][row]
-// holds word w of row's index — with one query and appends the indices of
-// matching rows to dst, returning the extended slice. Output is identical,
-// order included, to AppendMatchingRows over the row-major equivalent. It
-// panics if the column count differs from WordLen or an active column does
-// not hold exactly rows words. bs may be nil, in which case the kernel
-// allocates its own scratch.
+// AppendMatchingRowsColumns scans a word-major arena — cols[w][row] holds
+// word w of row's index — with one query and appends the indices of matching
+// rows to dst, in ascending order, returning the extended slice. It panics
+// if the column count differs from the query's word count or an active
+// column does not hold exactly rows words. bs may be nil, in which case the
+// kernel allocates its own scratch.
 func (s *Sparse) AppendMatchingRowsColumns(cols [][]uint64, rows int, bs *BlockScratch, dst []int32) []int32 {
 	if len(cols) != len(s.not) {
 		panic(fmt.Sprintf("bitindex: arena has %d columns, query needs %d", len(cols), len(s.not)))

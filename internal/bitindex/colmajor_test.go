@@ -19,12 +19,12 @@ func transpose(docs []*Vector, stride int) [][]uint64 {
 	return cols
 }
 
-// The blocked word-major kernel must agree, byte for byte, with both the
-// row-major AppendMatchingRows kernel and the naive per-row MatchWords loop,
-// across randomized vector lengths (stride-1 included), row counts that
-// exercise full blocks, partial tail blocks and the empty arena, zero
-// densities from all-ones to dense random, and a shared scratch reused
-// across every geometry.
+// The blocked word-major kernel must agree, byte for byte, with Equation 3
+// itself — per-row Vector.Matches in ascending row order — and with the
+// level-walk row kernel MatchesRow, across randomized vector lengths
+// (one-column arenas included), row counts that exercise full blocks,
+// partial tail blocks and the empty arena, zero densities from all-ones to
+// dense random, and a shared scratch reused across every geometry.
 func TestColumnKernelAgreesWithRowKernels(t *testing.T) {
 	rng := mrand.New(mrand.NewSource(26))
 	lengths := []int{1, 7, 63, 64, 65, 127, 128, 200, 448, 577}
@@ -32,7 +32,6 @@ func TestColumnKernelAgreesWithRowKernels(t *testing.T) {
 	var bs BlockScratch // reused across all trials, like a worker's scratch
 	for trial := 0; trial < 120; trial++ {
 		n := lengths[trial%len(lengths)]
-		stride := WordsFor(n)
 		var ndocs int
 		if trial%3 == 0 {
 			ndocs = rowCounts[(trial/3)%len(rowCounts)]
@@ -40,12 +39,10 @@ func TestColumnKernelAgreesWithRowKernels(t *testing.T) {
 			ndocs = rng.Intn(260)
 		}
 		docs := make([]*Vector, ndocs)
-		var arena []uint64
 		for i := range docs {
 			docs[i] = randomVector(rng, n)
-			arena = docs[i].AppendTo(arena)
 		}
-		cols := transpose(docs, stride)
+		cols := transpose(docs, WordsFor(n))
 
 		for qi := 0; qi < 4; qi++ {
 			var raw *Vector
@@ -61,31 +58,23 @@ func TestColumnKernelAgreesWithRowKernels(t *testing.T) {
 			}
 			q := raw.Sparsify()
 
-			wantRows := q.AppendMatchingRows(arena, stride, nil)
 			gotRows := q.AppendMatchingRowsColumns(cols, ndocs, &bs, nil)
-			if len(gotRows) != len(wantRows) {
-				t.Fatalf("trial %d n=%d docs=%d query %d: cols kernel found %d rows, row kernel %d",
-					trial, n, ndocs, qi, len(gotRows), len(wantRows))
-			}
-			for i := range wantRows {
-				if gotRows[i] != wantRows[i] {
-					t.Fatalf("trial %d n=%d docs=%d query %d: row %d is %d, want %d",
-						trial, n, ndocs, qi, i, gotRows[i], wantRows[i])
-				}
-			}
-			// Independent naive reference: per-row MatchWords.
 			ri := 0
-			for d := 0; d < ndocs; d++ {
-				if !q.MatchWords(arena[d*stride : (d+1)*stride]) {
+			for d, doc := range docs {
+				want := doc.Matches(raw)
+				if q.MatchesRow(cols, d) != want {
+					t.Fatalf("trial %d n=%d query %d: MatchesRow disagrees with Matches on row %d", trial, n, qi, d)
+				}
+				if !want {
 					continue
 				}
 				if ri >= len(gotRows) || gotRows[ri] != int32(d) {
-					t.Fatalf("trial %d query %d: cols kernel missing row %d", trial, qi, d)
+					t.Fatalf("trial %d n=%d docs=%d query %d: cols kernel missing row %d (got %v)", trial, n, ndocs, qi, d, gotRows)
 				}
 				ri++
 			}
 			if ri != len(gotRows) {
-				t.Fatalf("trial %d query %d: cols kernel has %d extra rows", trial, qi, len(gotRows)-ri)
+				t.Fatalf("trial %d n=%d docs=%d query %d: cols kernel has %d extra rows", trial, n, ndocs, qi, len(gotRows)-ri)
 			}
 		}
 	}
@@ -129,14 +118,7 @@ func TestColumnKernelPanics(t *testing.T) {
 			q.Sparsify().AppendMatchingRowsColumns([][]uint64{make([]uint64, 3), make([]uint64, 2)}, 3, nil, nil)
 		},
 	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s: no panic", name)
-				}
-			}()
-			fn()
-		}()
+		mustPanic(t, name, fn)
 	}
 }
 

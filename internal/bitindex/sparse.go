@@ -3,67 +3,53 @@ package bitindex
 import "fmt"
 
 // This file is the word-level face of the package: raw access to a vector's
-// 64-bit words, kernels that run the Equation-3 match relation directly over
-// word slices (so callers can store many indices back-to-back in one flat
-// arena instead of boxing each Vector), and Sparse, a preprocessed query form
-// that skips every word the query cannot fail on.
+// 64-bit words, the word-major arena accessors (so callers can store many
+// indices as one contiguous column per word offset instead of boxing each
+// Vector), and Sparse, a preprocessed query form that skips every word the
+// query cannot fail on.
 
 // WordsFor returns the number of 64-bit words backing a vector of n bits —
-// the stride of one index row in a columnar arena.
+// the number of columns in a word-major arena of n-bit indices.
 func WordsFor(n int) int { return (n + 63) / 64 }
 
 // Words returns the vector's backing words, least significant first, with the
 // unused tail bits of the last word zero. The slice aliases the vector's
-// storage: callers must treat it as read-only.
+// storage: callers must treat it as read-only. Storing word w of an index at
+// cols[w][row] is the arena fill operation.
 func (v *Vector) Words() []uint64 { return v.words }
 
-// AppendTo appends the vector's words to dst and returns the extended slice.
-// It is the arena fill operation: consecutive AppendTo calls lay index rows
-// back-to-back with stride WordsFor(v.Len()).
-func (v *Vector) AppendTo(dst []uint64) []uint64 { return append(dst, v.words...) }
-
-// CopyWordsTo overwrites dst with the vector's words (the arena in-place
-// replace operation). It panics if dst is not exactly WordsFor(v.Len()) long.
-func (v *Vector) CopyWordsTo(dst []uint64) {
-	if len(dst) != len(v.words) {
-		panic(fmt.Sprintf("bitindex: destination holds %d words, vector has %d", len(dst), len(v.words)))
+// FromColumns gathers row's n-bit vector out of a word-major arena —
+// cols[w][row] holds word w of row's index — copying the words so the result
+// does not alias the arena. Tail bits beyond n are cleared. It panics if
+// n <= 0, the arena does not have WordsFor(n) columns, or a column does not
+// hold row.
+func FromColumns(n int, cols [][]uint64, row int) *Vector {
+	v := New(n)
+	if len(cols) != len(v.words) {
+		panic(fmt.Sprintf("bitindex: arena has %d columns, %d bits need %d", len(cols), n, len(v.words)))
 	}
-	copy(dst, v.words)
-}
-
-// FromWords builds an n-bit vector from a row of raw words (the inverse of
-// Words/AppendTo), copying them so the result does not alias the arena. Tail
-// bits beyond n are cleared. It panics if n <= 0 or the row is not exactly
-// WordsFor(n) words.
-func FromWords(n int, row []uint64) *Vector {
-	if n <= 0 {
-		panic(fmt.Sprintf("bitindex: invalid vector length %d", n))
+	for w, col := range cols {
+		v.words[w] = col[row]
 	}
-	if len(row) != WordsFor(n) {
-		panic(fmt.Sprintf("bitindex: row holds %d words, %d bits need %d", len(row), n, WordsFor(n)))
-	}
-	v := &Vector{words: make([]uint64, len(row)), n: n}
-	copy(v.words, row)
 	v.clampTail()
 	return v
 }
 
-// Sparse is a query preprocessed for the zero-word-skipping match kernel.
+// Sparse is a query preprocessed for the zero-word-skipping match kernels.
 //
 // Equation 3 (v matches q iff v ∧ ¬q = 0) can only fail at words where
 // ¬q ≠ 0, i.e. words holding at least one 0 bit of q. Sparse stores ¬q
 // plus the offsets of those "active" words; its kernels test only the active
-// offsets of each document row and skip the all-ones remainder of the query
+// columns of a word-major arena and skip the all-ones remainder of the query
 // entirely. Queries built from few trapdoors are zero-sparse (Section 6's
 // F(x) starts at r/2^d zeros for one keyword), so most words are inactive.
 //
 // A Sparse is immutable after Sparsify/SparsifyInto and safe for concurrent
 // use by any number of kernel calls.
 type Sparse struct {
-	n     int      // bits in the query
-	not   []uint64 // ¬q, tail bits beyond n cleared
-	off   []int32  // offsets of the nonzero words of not, ascending
-	dense bool     // every word is active: use the branch-free linear sweep
+	n   int      // bits in the query
+	not []uint64 // ¬q, tail bits beyond n cleared
+	off []int32  // offsets of the nonzero words of not, ascending
 }
 
 // Sparsify preprocesses query q for the word-skipping kernels.
@@ -95,86 +81,22 @@ func (q *Vector) SparsifyInto(s *Sparse) {
 			s.off = append(s.off, int32(i))
 		}
 	}
-	s.dense = len(s.off) == len(s.not)
 }
 
-// Len returns the number of bits in the query.
-func (s *Sparse) Len() int { return s.n }
-
-// WordLen returns the number of words per index row the kernels expect.
-func (s *Sparse) WordLen() int { return len(s.not) }
-
-// ActiveWords returns the number of words the kernels actually test per
-// document — the ¬q ≠ 0 words of the Section-6 zero analysis.
-func (s *Sparse) ActiveWords() int { return len(s.off) }
-
-// MatchWords reports whether a document index row (raw words, as laid out by
-// AppendTo) matches the query under Equation 3, testing only the query's
-// active words. It is the rank-walk primitive: the Algorithm-1 level walk
-// tests one specific row per level, where a whole-arena kernel has nothing
-// to amortize. It panics if the row length differs from WordLen.
-func (s *Sparse) MatchWords(row []uint64) bool {
-	if len(row) != len(s.not) {
-		panic(fmt.Sprintf("bitindex: row holds %d words, query needs %d", len(row), len(s.not)))
-	}
-	if s.dense {
-		for i, m := range s.not {
-			if row[i]&m != 0 {
-				return false
-			}
-		}
-		return true
+// MatchesRow reports whether row of a word-major arena matches the query
+// under Equation 3, reading only the query's active columns. It is the
+// rank-walk primitive: the Algorithm-1 level walk tests one specific row per
+// level, where a whole-arena kernel has nothing to amortize. It panics if
+// the column count differs from the query's word count or an active column
+// does not hold row.
+func (s *Sparse) MatchesRow(cols [][]uint64, row int) bool {
+	if len(cols) != len(s.not) {
+		panic(fmt.Sprintf("bitindex: arena has %d columns, query needs %d", len(cols), len(s.not)))
 	}
 	for _, o := range s.off {
-		if row[o]&s.not[o] != 0 {
+		if cols[o][row]&s.not[o] != 0 {
 			return false
 		}
 	}
 	return true
-}
-
-// AppendMatchingRows scans a row-major columnar arena with one query and
-// appends the indices of matching rows to dst, returning the extended slice.
-// The query's first active word test is hoisted out of the per-row call, so
-// the fail-fast common case (most documents mismatch on the first active
-// word) touches exactly one word per row. The server's level-0 screen now
-// runs AppendMatchingRowsColumns over the word-major arena instead; this
-// kernel remains the row-major reference the blocked kernel is
-// property-tested against, and the scan for callers that only hold a
-// row-major arena. It panics if stride differs from WordLen or the arena is
-// not a whole number of rows.
-func (s *Sparse) AppendMatchingRows(arena []uint64, stride int, dst []int32) []int32 {
-	if stride != len(s.not) {
-		panic(fmt.Sprintf("bitindex: arena stride %d, query needs %d", stride, len(s.not)))
-	}
-	if stride == 0 || len(arena)%stride != 0 {
-		panic(fmt.Sprintf("bitindex: arena of %d words is not a whole number of %d-word rows", len(arena), stride))
-	}
-	n := len(arena) / stride
-	if len(s.off) == 0 {
-		// A query with no zero bits matches every document (Equation 3).
-		for i := 0; i < n; i++ {
-			dst = append(dst, int32(i))
-		}
-		return dst
-	}
-	o0 := int(s.off[0])
-	m0 := s.not[o0]
-	rest := s.off[1:]
-	for i, base := 0, 0; i < n; i, base = i+1, base+stride {
-		if arena[base+o0]&m0 != 0 {
-			continue
-		}
-		ok := true
-		for _, o := range rest {
-			if arena[base+int(o)]&s.not[o] != 0 {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			dst = append(dst, int32(i))
-		}
-	}
-	return dst
 }

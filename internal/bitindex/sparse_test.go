@@ -2,6 +2,7 @@ package bitindex
 
 import (
 	mrand "math/rand"
+	"slices"
 	"testing"
 )
 
@@ -15,6 +16,17 @@ func sparseQuery(rng *mrand.Rand, n, zeros int) *Vector {
 	return q
 }
 
+// mustPanic fails the test unless fn panics.
+func mustPanic(t *testing.T, name string, fn func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Errorf("%s: no panic", name)
+		}
+	}()
+	fn()
+}
+
 func TestWordsForMatchesBacking(t *testing.T) {
 	for _, n := range []int{1, 63, 64, 65, 448, 1000} {
 		if got := WordsFor(n); got != len(New(n).Words()) {
@@ -23,95 +35,69 @@ func TestWordsForMatchesBacking(t *testing.T) {
 	}
 }
 
+// The FromWords tests check the row gather, FromColumns, which builds a
+// vector from one row's words in a word-major arena: scattering vectors into
+// columns word by word and gathering each row back must round-trip exactly
+// and never alias the arena.
 func TestFromWordsRoundTrip(t *testing.T) {
 	rng := mrand.New(mrand.NewSource(21))
 	for _, n := range []int{1, 63, 64, 65, 448} {
-		v := randomVector(rng, n)
-		u := FromWords(n, v.Words())
-		if !v.Equal(u) {
-			t.Errorf("n=%d: FromWords(Words()) != original", n)
+		docs := make([]*Vector, 5)
+		for i := range docs {
+			docs[i] = randomVector(rng, n)
 		}
-		// The copy must not alias the source row.
-		u.SetBit(0, 1-u.Bit(0))
-		if v.Equal(u) {
-			t.Errorf("n=%d: FromWords shares storage with its input", n)
+		cols := transpose(docs, WordsFor(n))
+		for row, d := range docs {
+			u := FromColumns(n, cols, row)
+			if !d.Equal(u) {
+				t.Errorf("n=%d row %d: FromColumns != the scattered vector", n, row)
+			}
+			u.SetBit(0, 1-u.Bit(0))
+			if !d.Equal(FromColumns(n, cols, row)) {
+				t.Errorf("n=%d row %d: FromColumns shares storage with the arena", n, row)
+			}
 		}
 	}
 }
 
+// The gather clears a row's bits beyond n.
 func TestFromWordsClampsTail(t *testing.T) {
-	row := []uint64{^uint64(0)}
-	v := FromWords(5, row)
-	if v.OnesCount() != 5 {
+	if v := FromColumns(5, [][]uint64{{^uint64(0)}}, 0); v.OnesCount() != 5 {
 		t.Errorf("tail bits beyond n survived: %d ones, want 5", v.OnesCount())
 	}
 }
 
+// The gather panics on a bad length or a malformed arena.
 func TestFromWordsPanics(t *testing.T) {
 	for name, fn := range map[string]func(){
-		"zero bits":  func() { FromWords(0, nil) },
-		"short row":  func() { FromWords(65, make([]uint64, 1)) },
-		"long row":   func() { FromWords(64, make([]uint64, 2)) },
-		"neg length": func() { FromWords(-3, nil) },
+		"zero bits":    func() { FromColumns(0, nil, 0) },
+		"neg length":   func() { FromColumns(-3, nil, 0) },
+		"few columns":  func() { FromColumns(65, make([][]uint64, 1), 0) },
+		"many columns": func() { FromColumns(64, make([][]uint64, 2), 0) },
+		"row past end": func() { FromColumns(64, [][]uint64{make([]uint64, 2)}, 2) },
 	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s: no panic", name)
-				}
-			}()
-			fn()
-		}()
+		mustPanic(t, name, fn)
 	}
 }
 
-func TestAppendToCopyWordsTo(t *testing.T) {
-	rng := mrand.New(mrand.NewSource(22))
-	a, b := randomVector(rng, 130), randomVector(rng, 130)
-	stride := WordsFor(130)
-	arena := a.AppendTo(nil)
-	arena = b.AppendTo(arena)
-	if len(arena) != 2*stride {
-		t.Fatalf("arena holds %d words, want %d", len(arena), 2*stride)
-	}
-	if !FromWords(130, arena[:stride]).Equal(a) || !FromWords(130, arena[stride:]).Equal(b) {
-		t.Fatal("AppendTo rows do not round-trip")
-	}
-	// In-place replace of row 0.
-	c := randomVector(rng, 130)
-	c.CopyWordsTo(arena[:stride])
-	if !FromWords(130, arena[:stride]).Equal(c) {
-		t.Fatal("CopyWordsTo did not overwrite the row")
-	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("CopyWordsTo with wrong-size destination did not panic")
-			}
-		}()
-		c.CopyWordsTo(arena)
-	}()
-}
-
-// The core property of the whole arena design: every sparse kernel —
-// MatchWords, AppendMatchingRows — must agree exactly with the naive Matches
-// relation, for random vectors, lengths (word-boundary cases included), zero
-// densities, and batch sizes. Zeroing further query bits can only shrink the
-// match set (AND-monotonicity).
+// The core property of the whole arena design: the level-walk primitive
+// MatchesRow must agree exactly with the naive Matches relation, and the
+// FromColumns gather must return each row's vector, for random vectors,
+// lengths (word-boundary cases included), zero densities, and batch sizes.
+// Zeroing further query bits can only shrink the match set
+// (AND-monotonicity).
 func TestSparseKernelsAgreeWithMatches(t *testing.T) {
 	rng := mrand.New(mrand.NewSource(23))
 	zrng := mrand.New(mrand.NewSource(26)) // own stream: the extra zeros leave the trials' inputs as they were
 	lengths := []int{1, 7, 63, 64, 65, 127, 128, 200, 448, 577}
 	for trial := 0; trial < 60; trial++ {
 		n := lengths[trial%len(lengths)]
-		stride := WordsFor(n)
 		ndocs := 1 + rng.Intn(40)
 		docs := make([]*Vector, ndocs)
-		var arena []uint64
 		for i := range docs {
 			docs[i] = randomVector(rng, n)
-			arena = docs[i].AppendTo(arena)
 		}
+		cols := transpose(docs, WordsFor(n))
 		nq := 1 + rng.Intn(5)
 		qs := make([]*Sparse, nq)
 		raw := make([]*Vector, nq)
@@ -130,35 +116,20 @@ func TestSparseKernelsAgreeWithMatches(t *testing.T) {
 		}
 
 		for d, doc := range docs {
+			if !FromColumns(n, cols, d).Equal(doc) {
+				t.Fatalf("trial %d n=%d doc %d: FromColumns differs from the uploaded vector", trial, n, d)
+			}
 			for qi, q := range qs {
 				want := doc.Matches(raw[qi])
-				if got := q.MatchWords(arena[d*stride : (d+1)*stride]); got != want {
-					t.Fatalf("trial %d n=%d doc %d query %d: MatchWords=%v, Matches=%v", trial, n, d, qi, got, want)
+				if got := q.MatchesRow(cols, d); got != want {
+					t.Fatalf("trial %d n=%d doc %d query %d: MatchesRow=%v, Matches=%v", trial, n, d, qi, got, want)
 				}
 			}
 		}
 		for qi, q := range qs {
-			rows := q.AppendMatchingRows(arena, stride, nil)
-			ri := 0
-			for d, doc := range docs {
-				want := doc.Matches(raw[qi])
-				if want {
-					if ri >= len(rows) || rows[ri] != int32(d) {
-						t.Fatalf("trial %d query %d: AppendMatchingRows missing row %d (got %v)", trial, qi, d, rows)
-					}
-					ri++
-				}
-			}
-			if ri != len(rows) {
-				t.Fatalf("trial %d query %d: AppendMatchingRows has %d extra rows", trial, qi, len(rows)-ri)
-			}
-			tighter := raw[qi].And(sparseQuery(zrng, n, 1+zrng.Intn(4)))
-			ri = 0
-			for _, d := range tighter.Sparsify().AppendMatchingRows(arena, stride, nil) {
-				for ri < len(rows) && rows[ri] < d {
-					ri++
-				}
-				if ri == len(rows) || rows[ri] != d {
+			tighter := raw[qi].And(sparseQuery(zrng, n, 1+zrng.Intn(4))).Sparsify()
+			for d := range docs {
+				if tighter.MatchesRow(cols, d) && !q.MatchesRow(cols, d) {
 					t.Fatalf("trial %d query %d: row %d matches only after zeroing more query bits", trial, qi, d)
 				}
 			}
@@ -182,12 +153,11 @@ func TestSparsifyIntoReuse(t *testing.T) {
 		}
 		q.SparsifyInto(&s)
 		fresh := q.Sparsify()
-		if s.Len() != fresh.Len() || s.ActiveWords() != fresh.ActiveWords() || s.WordLen() != fresh.WordLen() {
-			t.Fatalf("trial %d: reused Sparse differs from fresh (%d/%d/%d vs %d/%d/%d)",
-				trial, s.Len(), s.ActiveWords(), s.WordLen(), fresh.Len(), fresh.ActiveWords(), fresh.WordLen())
+		if s.n != fresh.n || !slices.Equal(s.not, fresh.not) || !slices.Equal(s.off, fresh.off) {
+			t.Fatalf("trial %d: reused Sparse %+v differs from fresh %+v", trial, s, *fresh)
 		}
 		doc := randomVector(rng, n)
-		if s.MatchWords(doc.Words()) != doc.Matches(q) {
+		if s.MatchesRow(transpose([]*Vector{doc}, WordsFor(n)), 0) != doc.Matches(q) {
 			t.Fatalf("trial %d: reused Sparse disagrees with Matches", trial)
 		}
 	}
@@ -195,59 +165,61 @@ func TestSparsifyIntoReuse(t *testing.T) {
 
 func TestSparseActiveWords(t *testing.T) {
 	q := NewOnes(448)
-	if s := q.Sparsify(); s.ActiveWords() != 0 {
-		t.Errorf("all-ones query has %d active words, want 0", s.ActiveWords())
+	if s := q.Sparsify(); len(s.off) != 0 {
+		t.Errorf("all-ones query has %d active words, want 0", len(s.off))
 	}
 	q.SetBit(100, 0) // word 1
 	q.SetBit(101, 0) // word 1 again
 	q.SetBit(400, 0) // word 6
-	if s := q.Sparsify(); s.ActiveWords() != 2 {
-		t.Errorf("query with zeros in 2 words has %d active words", s.ActiveWords())
+	if s := q.Sparsify(); len(s.off) != 2 {
+		t.Errorf("query with zeros in 2 words has %d active words", len(s.off))
 	}
 	// Inverted padding of the last word must never count as active.
-	if s := NewOnes(65).Sparsify(); s.ActiveWords() != 0 {
-		t.Errorf("all-ones 65-bit query has %d active words, want 0", s.ActiveWords())
+	if s := NewOnes(65).Sparsify(); len(s.off) != 0 {
+		t.Errorf("all-ones 65-bit query has %d active words, want 0", len(s.off))
 	}
-	if s := New(448).Sparsify(); s.ActiveWords() != WordsFor(448) {
-		t.Errorf("all-zero query has %d active words, want every one of %d", s.ActiveWords(), WordsFor(448))
+	if s := New(448).Sparsify(); len(s.off) != WordsFor(448) {
+		t.Errorf("all-zero query has %d active words, want every one of %d", len(s.off), WordsFor(448))
 	}
 }
 
 func TestSparseKernelPanics(t *testing.T) {
-	s := NewOnes(64).Sparsify()
+	s := New(64).Sparsify() // one word, active
 	for name, fn := range map[string]func(){
-		"row too short": func() { s.MatchWords(nil) },
-		"row too long":  func() { s.MatchWords(make([]uint64, 2)) },
-		"rows stride":   func() { s.AppendMatchingRows(make([]uint64, 4), 2, nil) },
-		"rows ragged":   func() { NewOnes(80).Sparsify().AppendMatchingRows(make([]uint64, 3), 2, nil) },
+		"too few columns":  func() { s.MatchesRow(nil, 0) },
+		"too many columns": func() { s.MatchesRow(make([][]uint64, 2), 0) },
+		"row past end":     func() { s.MatchesRow([][]uint64{make([]uint64, 1)}, 1) },
 	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s: no panic", name)
-				}
-			}()
-			fn()
-		}()
+		mustPanic(t, name, fn)
 	}
 }
 
-func BenchmarkSparseMatchArena448(b *testing.B) {
+// matchSink keeps the benchmarked calls' results live.
+var matchSink int
+
+// BenchmarkMatchesRow448 times the level-walk primitive: one row tested per
+// call, as the Algorithm-1 walk does for each screened survivor.
+func BenchmarkMatchesRow448(b *testing.B) {
 	rng := mrand.New(mrand.NewSource(25))
 	const docs = 1000
-	stride := WordsFor(448)
-	var arena []uint64
-	for i := 0; i < docs; i++ {
-		arena = randomVector(rng, 448).AppendTo(arena)
+	vecs := make([]*Vector, docs)
+	for i := range vecs {
+		vecs[i] = randomVector(rng, 448)
 	}
+	cols := transpose(vecs, WordsFor(448))
 	for _, zeros := range []int{2, 7, 170} {
 		q := sparseQuery(rng, 448, zeros).Sparsify()
 		b.Run(map[int]string{2: "zeros=2", 7: "zeros=7", 170: "zeros=170"}[zeros], func(b *testing.B) {
-			var rows []int32
 			b.ReportAllocs()
+			n := 0
 			for i := 0; i < b.N; i++ {
-				rows = q.AppendMatchingRows(arena, stride, rows[:0])
+				for row := 0; row < docs; row++ {
+					if q.MatchesRow(cols, row) {
+						n++
+					}
+				}
 			}
+			matchSink = n
 		})
 	}
 }

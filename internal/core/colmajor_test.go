@@ -9,31 +9,18 @@ import (
 	"mkse/internal/corpus"
 )
 
-// checkColumnInvariant asserts the word-major mirror is exact: every shard's
-// cols[w][row] must equal word w of row's level-0 arena row, with column
-// lengths tracking the row count. This is the invariant Upload (append and
-// replace), Delete (swap-remove) and checkpoint installs must all preserve —
-// the blocked scan kernel reads only cols, so any divergence is a silent
-// wrong answer.
-func checkColumnInvariant(t *testing.T, srv *Server) {
+// checkColumns asserts that every column of every level holds one word per
+// stored row.
+func checkColumns(t *testing.T, srv *Server) {
 	t.Helper()
 	for si, sh := range srv.shards {
 		sh.mu.RLock()
 		rows := len(sh.ids)
-		if len(sh.cols) != sh.stride {
-			sh.mu.RUnlock()
-			t.Fatalf("shard %d: %d columns, stride %d", si, len(sh.cols), sh.stride)
-		}
-		for w, col := range sh.cols {
-			if len(col) != rows {
-				sh.mu.RUnlock()
-				t.Fatalf("shard %d column %d: %d entries, %d rows", si, w, len(col), rows)
-			}
-			for row := 0; row < rows; row++ {
-				if col[row] != sh.levels[0][row*sh.stride+w] {
+		for l, level := range sh.cols {
+			for w, col := range level {
+				if len(col) != rows {
 					sh.mu.RUnlock()
-					t.Fatalf("shard %d row %d word %d: column holds %#x, level-0 arena %#x",
-						si, row, w, col[row], sh.levels[0][row*sh.stride+w])
+					t.Fatalf("shard %d level %d column %d: %d entries, %d rows", si, l+1, w, len(col), rows)
 				}
 			}
 		}
@@ -41,18 +28,70 @@ func checkColumnInvariant(t *testing.T, srv *Server) {
 	}
 }
 
-// Upload (fresh and replacing), Delete and re-upload must keep the
-// word-major columns an exact mirror of the row-major level-0 arena, and
-// searches through the column kernel must stay byte-identical to the
-// sequential reference at every step.
-func TestWordMajorColumnsMirrorLevelZero(t *testing.T) {
+// checkExport asserts that Export returns exactly the index last uploaded
+// for every stored document — every level, word for word — and nothing
+// else. This is what Upload (append and replace), Delete (swap-remove) and
+// checkpoint installs must all preserve: the scan, the level walk and the
+// metadata gather read only the columns, so any divergence is a silent
+// wrong answer.
+func checkExport(t *testing.T, srv *Server, want map[string]*SearchIndex) {
+	t.Helper()
+	checkColumns(t, srv)
+	seen := 0
+	err := srv.Export(func(si *SearchIndex, _ *EncryptedDocument) error {
+		w, ok := want[si.DocID]
+		if !ok {
+			return fmt.Errorf("exported %q, which is not stored", si.DocID)
+		}
+		if len(si.Levels) != len(w.Levels) {
+			return fmt.Errorf("%q: exported %d levels, uploaded %d", si.DocID, len(si.Levels), len(w.Levels))
+		}
+		for l := range w.Levels {
+			if !si.Levels[l].Equal(w.Levels[l]) {
+				return fmt.Errorf("%q: exported level %d differs from the uploaded index", si.DocID, l+1)
+			}
+		}
+		seen++
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if seen != len(want) {
+		t.Fatalf("Export returned %d documents, %d are stored", seen, len(want))
+	}
+}
+
+// Export must return exactly the uploaded index after every mutation
+// pattern — fresh upload, in-place replace, swap-remove, re-upload and a
+// checkpoint install into another shard layout — and searches must stay
+// byte-identical to the sequential reference at every step.
+func TestExportReturnsUploadedIndex(t *testing.T) {
 	o := sharedOwner(t)
 	srv, err := NewServerSharded(o.Params(), 3, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	docs := uploadCorpus(t, o, 60, 71, srv)
-	checkColumnInvariant(t, srv)
+	want := make(map[string]*SearchIndex)
+	upload := func(d *corpus.Document) {
+		t.Helper()
+		si, err := o.BuildIndex(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := srv.Upload(si, &EncryptedDocument{ID: d.ID, Ciphertext: []byte(d.ID), EncKey: []byte{1}}); err != nil {
+			t.Fatal(err)
+		}
+		want[d.ID] = si
+	}
+	for _, d := range docs {
+		si, err := o.BuildIndex(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[d.ID] = si
+	}
 
 	u := newUserFor(t, o, "col-mirror")
 	u.SeedQueryRNG(73)
@@ -64,7 +103,7 @@ func TestWordMajorColumnsMirrorLevelZero(t *testing.T) {
 	}
 	verify := func(step string) {
 		t.Helper()
-		checkColumnInvariant(t, srv)
+		checkExport(t, srv, want)
 		got, err := srv.Search(q)
 		if err != nil {
 			t.Fatal(err)
@@ -74,53 +113,122 @@ func TestWordMajorColumnsMirrorLevelZero(t *testing.T) {
 	verify("after initial upload")
 
 	// Replace a third of the corpus in place (same IDs, new term freqs →
-	// new index words written over existing rows and columns).
+	// new index words written over existing rows).
 	for i := 0; i < len(docs); i += 3 {
 		d := docs[i]
 		for w := range d.TermFreqs {
 			d.TermFreqs[w] = 1 + (d.TermFreqs[w]+6)%15
 		}
-		si, err := o.BuildIndex(d)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := srv.Upload(si, &EncryptedDocument{ID: d.ID, Ciphertext: []byte(d.ID), EncKey: []byte{1}}); err != nil {
-			t.Fatal(err)
-		}
+		upload(d)
 	}
 	verify("after in-place replacements")
 
 	// Delete every other document — swap-remove churns row positions, and
-	// the columns must follow every swap.
+	// every level's columns must follow every swap.
 	for i := 0; i < len(docs); i += 2 {
 		if err := srv.Delete(docs[i].ID); err != nil {
 			t.Fatal(err)
 		}
+		delete(want, docs[i].ID)
 	}
 	verify("after deletions")
 
 	// Re-upload the deleted half (rows append again at new positions).
 	for i := 0; i < len(docs); i += 2 {
-		si, err := o.BuildIndex(docs[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := srv.Upload(si, &EncryptedDocument{ID: docs[i].ID, Ciphertext: []byte(docs[i].ID), EncKey: []byte{1}}); err != nil {
-			t.Fatal(err)
-		}
+		upload(docs[i])
 	}
 	verify("after re-upload")
+
+	// Install the state into a fresh server with another shard layout, the
+	// way a checkpoint load replays Export's stream through Upload.
+	installed, err := NewServerSharded(o.Params(), 2, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Export(installed.Upload); err != nil {
+		t.Fatal(err)
+	}
+	srv = installed
+	verify("after checkpoint install")
 
 	for _, d := range docs {
 		if err := srv.Delete(d.ID); err != nil {
 			t.Fatal(err)
 		}
+		delete(want, d.ID)
 	}
 	verify("after deleting everything")
 }
 
-// A concurrent upload/delete/search hammer over the transposed columns: the
-// race detector checks the locking, the final column-invariant and
+// A match's Meta must be the index of the document it names. The scan
+// releases the shard lock before the τ-cut assembles results, so a Delete
+// in between swap-removes another document into the matched row: assembly
+// must look the row up again by document ID and drop a match whose
+// document is gone.
+func TestSearchMetaFollowsDocumentAcrossDeletes(t *testing.T) {
+	o := sharedOwner(t)
+	srv, err := NewServerSharded(o.Params(), 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	uploadCorpus(t, o, 64, 89, srv)
+	var stored []*SearchIndex
+	if err := srv.Export(func(si *SearchIndex, _ *EncryptedDocument) error {
+		stored = append(stored, si)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	meta := make(map[string]*bitindex.Vector, len(stored))
+	for _, si := range stored {
+		meta[si.DocID] = si.Levels[0]
+	}
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			si := stored[i%len(stored)]
+			if err := srv.Delete(si.DocID); err != nil {
+				t.Error(err)
+				return
+			}
+			if err := srv.Upload(si, &EncryptedDocument{ID: si.DocID, Ciphertext: []byte(si.DocID), EncKey: []byte{1}}); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	q := bitindex.NewOnes(o.Params().R) // no zero bits: matches every document
+	wrong, total := 0, 0
+	for i := 0; i < 400; i++ {
+		ms, err := srv.SearchTop(q, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range ms {
+			total++
+			if !m.Meta.Equal(meta[m.DocID]) {
+				wrong++
+			}
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if wrong > 0 {
+		t.Fatalf("%d of %d matches carried another document's Meta", wrong, total)
+	}
+}
+
+// A concurrent upload/delete/search hammer over the word-major columns: the
+// race detector checks the locking, the final column-length and
 // reference-search checks the data. Unlike TestConcurrentUploadSearchFetch
 // this mixes Delete into the write load, so searches race against
 // swap-removes shifting rows between columns mid-run.
@@ -198,7 +306,7 @@ func TestConcurrentUploadDeleteSearchColumns(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	checkColumnInvariant(t, srv)
+	checkColumns(t, srv)
 	got, err := srv.Search(q)
 	if err != nil {
 		t.Fatal(err)
@@ -223,5 +331,5 @@ func TestColumnScanEmptyShards(t *testing.T) {
 	if len(res) != 0 {
 		t.Fatalf("empty server matched %d documents", len(res))
 	}
-	checkColumnInvariant(t, srv)
+	checkExport(t, srv, nil)
 }

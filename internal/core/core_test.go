@@ -65,6 +65,8 @@ func TestParamsValidate(t *testing.T) {
 	}{
 		{"default", func(p *Params) {}, true},
 		{"zero R", func(p *Params) { p.R = 0 }, false},
+		{"huge R", func(p *Params) { p.R = MaxR + 1 }, false},
+		{"max R", func(p *Params) { p.R = MaxR }, true},
 		{"bad D", func(p *Params) { p.D = 40 }, false},
 		{"zero bins", func(p *Params) { p.Bins = 0 }, false},
 		{"V > U", func(p *Params) { p.V = p.U + 1 }, false},

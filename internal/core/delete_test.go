@@ -154,12 +154,14 @@ func TestDeleteEverything(t *testing.T) {
 		t.Fatalf("NumDocuments = %d after deleting everything", n)
 	}
 	for _, sh := range srv.shards {
-		for l, arena := range sh.levels {
-			if len(arena) != 0 {
-				t.Fatalf("level-%d arena still holds %d words", l+1, len(arena))
-			}
-			if cap(arena) >= 64*sh.stride {
-				t.Fatalf("level-%d arena capacity %d not released", l+1, cap(arena))
+		for l, level := range sh.cols {
+			for w, col := range level {
+				if len(col) != 0 {
+					t.Fatalf("level-%d column %d still holds %d words", l+1, w, len(col))
+				}
+				if cap(col) >= 64 {
+					t.Fatalf("level-%d column %d capacity %d not released", l+1, w, cap(col))
+				}
 			}
 		}
 	}

@@ -39,6 +39,11 @@ type Params struct {
 	RSABits int
 }
 
+// MaxR bounds the index size R (146× the paper's 448 bits): a server
+// allocates η·⌈R/64⌉ columns per shard when it is built, and snapshot
+// loaders refuse a larger R before building one.
+const MaxR = 1 << 16
+
 // DefaultParams returns the paper's implementation parameters: r = 448,
 // d = 6, δ = 250 bins, U = 60, V = 30, ranking disabled (η = 1), 1024-bit
 // RSA.
@@ -91,8 +96,8 @@ func (p Params) IndexBytes() int { return (p.R + 7) / 8 }
 
 // Validate checks internal consistency.
 func (p Params) Validate() error {
-	if p.R <= 0 {
-		return fmt.Errorf("core: R must be positive, got %d", p.R)
+	if p.R <= 0 || p.R > MaxR {
+		return fmt.Errorf("core: R must be in [1,%d], got %d", MaxR, p.R)
 	}
 	if p.D <= 0 || p.D > 32 {
 		return fmt.Errorf("core: D must be in [1,32], got %d", p.D)

@@ -41,33 +41,28 @@ var ErrNotFound = errors.New("no such document")
 // sequential scan followed by a full (rank desc, docID asc) sort, whatever
 // the shard and worker counts. Consistency under concurrent writes is
 // per-shard, not global: a search overlapping in-flight uploads may observe
-// a later upload while missing an earlier one on a different shard, and a
-// returned match's Meta vector reflects the stored index at result-assembly
-// time, which for a document replaced mid-search may be newer than the index
-// that matched (the pre-sharding single lock made every search a
-// point-in-time snapshot; Export retains that guarantee by locking all
-// shards at once).
+// a later upload while missing an earlier one on a different shard. A
+// returned match's Meta vector is looked up by document ID at
+// result-assembly time, so for a document replaced mid-search it may be
+// newer than the index that matched, and a match whose document was deleted
+// after its shard was scanned is dropped (the pre-sharding single lock made
+// every search a point-in-time snapshot; Export retains that guarantee by
+// locking all shards at once).
 //
-// # Columnar index arenas and the zero-word-skipping kernel
+// # Word-major index arenas and the zero-word-skipping kernel
 //
-// Within a shard, indices are not stored as per-document vectors but as one
-// contiguous []uint64 arena per ranking level: document i's r-bit level-η
-// index occupies words [i·stride, (i+1)·stride) of the level-η arena
-// (struct-of-arrays). The scan is therefore a linear, prefetch-friendly
-// sweep over flat memory with zero pointer chasing — the boxed
-// *SearchIndex → *Vector → []uint64 chain of earlier revisions cost three
-// dependent cache misses per document. Uploading copies the index words into
-// the arenas (the caller's SearchIndex is not retained); re-uploading an
-// existing ID overwrites its rows in place, keeping its original
-// upload-order position. Each query is preprocessed once into a
-// bitindex.Sparse — the offsets of the few words where ¬q ≠ 0, the only
-// words Equation 3 can fail on. The level-1 screen runs over a word-major
-// copy of the level-1 arena (one contiguous column per word offset) with the
-// blocked bitmap-refinement kernel (bitindex.AppendMatchingRowsColumns):
-// the first active column is swept sequentially into per-64-row survivor
-// bitmasks, and only surviving blocks are refined against the remaining
-// active columns, most selective first. The Algorithm-1 level walk then
-// tests survivors row-major per level, touching only the active offsets.
+// Within a shard, every ranking level is one word-major arena:
+// cols[l][w][row] is word w of row's level-(l+1) index, one contiguous
+// []uint64 column per (level, word offset), and each index is stored once.
+// Upload copies the index words into the columns (the caller's SearchIndex
+// is not retained); re-uploading an existing ID overwrites its row in
+// place, keeping its original upload-order position. Each query is
+// preprocessed once into a bitindex.Sparse — the offsets of the few words
+// where ¬q ≠ 0, the only words Equation 3 can fail on. The level-1 screen
+// sweeps the level-1 columns with the blocked bitmap-refinement kernel
+// (bitindex.AppendMatchingRowsColumns), and the Algorithm-1 level walk tests
+// each survivor's active words in the higher levels' columns
+// (Sparse.MatchesRow).
 // Multi-shard scans are dispatched to persistent shard-affine workers —
 // each worker goroutine owns a fixed subset of shards for the server's
 // lifetime, so a shard's arenas are always rescanned by the same worker.
@@ -76,11 +71,10 @@ var ErrNotFound = errors.New("no such document")
 // their results.
 //
 // Uploaded documents are stored by reference and must not be mutated by the
-// caller afterwards; search indices are copied into the arenas at Upload.
+// caller afterwards; search indices are copied into the columns at Upload.
 type Server struct {
 	params  Params
 	workers int
-	stride  int // 64-bit words per r-bit index row
 	shards  []*shard
 
 	seq atomic.Uint64 // global upload order, for Export/DocumentIDs
@@ -115,24 +109,19 @@ type Server struct {
 type ScanObserverFunc func(ctx context.Context, start time.Time, d time.Duration)
 
 // shard is one independently locked slice of the document store, laid out as
-// parallel columns: row i of every slice and arena describes one document.
+// parallel columns: row i of every slice and column describes one document.
 //
-// Level-0 indices are stored twice: row-major in levels[0] (the layout the
-// metadata copies, Export and the level walk read rows from) and word-major
-// in cols (cols[w][row] = word w of row's level-0 index — the layout the
-// blocked bitmap-refinement kernel sweeps). Upload and Delete maintain both
-// in lock step; the duplication costs one extra level's worth of memory and
-// buys the scan a sequential, line-dense walk of exactly the query's active
-// words.
+// Every ranking level is stored word-major: cols[l][w][row] is word w of
+// row's level-(l+1) index. The level-1 screen sweeps cols[0] with the blocked
+// kernel, the level walk reads single rows of cols[1:], and metadata copies
+// and Export gather rows back into vectors.
 type shard struct {
-	mu     sync.RWMutex
-	byID   map[string]int // docID → row
-	ids    []string
-	seqs   []uint64
-	docs   []*EncryptedDocument
-	levels [][]uint64 // levels[l]: all rows' level-(l+1) index words, back-to-back
-	cols   [][]uint64 // word-major level 0: cols[w][row], one column per word offset
-	stride int
+	mu   sync.RWMutex
+	byID map[string]int // docID → row
+	ids  []string
+	seqs []uint64
+	docs []*EncryptedDocument
+	cols [][][]uint64 // cols[l][w][row], one column per (level, word offset)
 }
 
 // NewServer creates an empty server with one shard per GOMAXPROCS core.
@@ -157,14 +146,13 @@ func NewServerSharded(p Params, shards, workers int) (*Server, error) {
 	if workers > shards {
 		workers = shards
 	}
-	s := &Server{params: p, workers: workers, stride: bitindex.WordsFor(p.R), shards: make([]*shard, shards)}
+	s := &Server{params: p, workers: workers, shards: make([]*shard, shards)}
 	for i := range s.shards {
-		s.shards[i] = &shard{
-			byID:   make(map[string]int),
-			levels: make([][]uint64, p.Eta()),
-			cols:   make([][]uint64, s.stride),
-			stride: s.stride,
+		sh := &shard{byID: make(map[string]int), cols: make([][][]uint64, p.Eta())}
+		for l := range sh.cols {
+			sh.cols[l] = make([][]uint64, bitindex.WordsFor(p.R))
 		}
+		s.shards[i] = sh
 	}
 	s.scratch.New = func() any { return new(scanScratch) }
 	return s, nil
@@ -232,7 +220,7 @@ func (s *Server) shardFor(docID string) *shard {
 // must refer to the same document ID; re-uploading an existing ID replaces
 // it (the owner refreshing an index after key rotation) in place, keeping
 // its original upload-order position. The index words are copied into the
-// shard's arenas; the payload is stored by reference.
+// shard's columns; the payload is stored by reference.
 func (s *Server) Upload(si *SearchIndex, doc *EncryptedDocument) error {
 	if si == nil || doc == nil {
 		return fmt.Errorf("core: nil upload")
@@ -246,13 +234,11 @@ func (s *Server) Upload(si *SearchIndex, doc *EncryptedDocument) error {
 	sh := s.shardFor(si.DocID)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	lvl0 := si.Levels[0].Words()
 	if row, ok := sh.byID[si.DocID]; ok {
 		for l, v := range si.Levels {
-			v.CopyWordsTo(sh.levels[l][row*sh.stride : (row+1)*sh.stride])
-		}
-		for w := range sh.cols {
-			sh.cols[w][row] = lvl0[w]
+			for w, word := range v.Words() {
+				sh.cols[l][w][row] = word
+			}
 		}
 		sh.docs[row] = doc
 		s.epoch.Add(1) // after apply, before ack (see Epoch)
@@ -263,19 +249,18 @@ func (s *Server) Upload(si *SearchIndex, doc *EncryptedDocument) error {
 	sh.seqs = append(sh.seqs, s.seq.Add(1))
 	sh.docs = append(sh.docs, doc)
 	for l, v := range si.Levels {
-		sh.levels[l] = v.AppendTo(sh.levels[l])
-	}
-	for w := range sh.cols {
-		sh.cols[w] = append(sh.cols[w], lvl0[w])
+		for w, word := range v.Words() {
+			sh.cols[l][w] = append(sh.cols[l][w], word)
+		}
 	}
 	s.epoch.Add(1) // after apply, before ack (see Epoch)
 	return nil
 }
 
 // Delete removes a stored document: its encrypted payload, wrapped key and
-// every ranking level's index row. The freed arena rows are compacted by
-// swap-remove — the shard's last row moves into the vacated slot and the
-// arenas shrink by one stride — so scans never visit dead rows and a long
+// every ranking level's index row. The freed rows are compacted by
+// swap-remove — the shard's last row moves into the vacated slot and every
+// column shrinks by one word — so scans never visit dead rows and a long
 // delete-heavy workload cannot leak arena space (capacities are released
 // once a shard falls to a quarter of its high-water mark). Deleting an
 // unknown ID returns ErrNotFound. Delete does not reset the document's
@@ -295,22 +280,20 @@ func (s *Server) Delete(docID string) error {
 		sh.seqs[row] = sh.seqs[last]
 		sh.docs[row] = sh.docs[last]
 		sh.byID[sh.ids[row]] = row
-		for _, arena := range sh.levels {
-			copy(arena[row*sh.stride:(row+1)*sh.stride], arena[last*sh.stride:(last+1)*sh.stride])
-		}
-		for _, col := range sh.cols {
-			col[row] = col[last]
+		for _, level := range sh.cols {
+			for _, col := range level {
+				col[row] = col[last]
+			}
 		}
 	}
 	sh.ids = shrink(sh.ids[:last])
 	sh.seqs = shrink(sh.seqs[:last])
 	sh.docs[last] = nil // release the payload reference
 	sh.docs = shrink(sh.docs[:last])
-	for l := range sh.levels {
-		sh.levels[l] = shrink(sh.levels[l][:last*sh.stride])
-	}
-	for w := range sh.cols {
-		sh.cols[w] = shrink(sh.cols[w][:last])
+	for _, level := range sh.cols {
+		for w := range level {
+			level[w] = shrink(level[w][:last])
+		}
 	}
 	delete(sh.byID, docID)
 	s.epoch.Add(1) // after apply, before ack (see Epoch)
@@ -338,14 +321,11 @@ func (s *Server) NumDocuments() int {
 	return n
 }
 
-// candidate is a match that survived a shard scan: the rank plus the
-// (shard, row) coordinates of the stored index. Its level-1 metadata is
-// copied out of the arena only if it survives the global τ-cut — the seed
-// implementation cloned every match's r-bit vector up front and then
-// discarded all but τ of them.
+// candidate is a match that survived a shard scan: its rank, document ID and
+// shard. Its level-1 metadata is gathered only if it survives the global
+// τ-cut.
 type candidate struct {
 	rank int
-	row  int
 	id   string
 	sh   *shard
 }
@@ -478,7 +458,7 @@ func (sh *shard) scan(qs []*bitindex.Sparse, ws *workerScratch, heaps []topTau) 
 		// cheaper as consecutive sequential sweeps than as a row-hot
 		// multi-query loop with its per-row call overhead. Every row is
 		// still one Equation-3 comparison for Table-2 accounting.
-		ws.rows = q.AppendMatchingRowsColumns(sh.cols, rows, &ws.blocks, ws.rows[:0])
+		ws.rows = q.AppendMatchingRowsColumns(sh.cols[0], rows, &ws.blocks, ws.rows[:0])
 		cmps += int64(rows)
 		for _, r := range ws.rows {
 			cmps += sh.walkLevelsAt(q, int(r), &heaps[qi])
@@ -490,25 +470,31 @@ func (sh *shard) scan(qs []*bitindex.Sparse, ws *workerScratch, heaps []topTau) 
 // walkLevelsAt assigns row's rank against q and records the candidate,
 // returning the number of extra r-bit comparisons spent on levels ≥ 2.
 func (sh *shard) walkLevelsAt(q *bitindex.Sparse, row int, heap *topTau) int64 {
-	base := row * sh.stride
 	var cmps int64
 	rank := 1
-	for rank < len(sh.levels) {
+	for rank < len(sh.cols) {
 		cmps++
-		if !q.MatchWords(sh.levels[rank][base : base+sh.stride]) {
+		if !q.MatchesRow(sh.cols[rank], row) {
 			break
 		}
 		rank++
 	}
-	heap.add(candidate{rank: rank, row: row, id: sh.ids[row], sh: sh})
+	heap.add(candidate{rank: rank, id: sh.ids[row], sh: sh})
 	return cmps
 }
 
-// metaVector copies row's level-1 index out of the arena as a fresh vector.
-func (sh *shard) metaVector(row, nbits int) *bitindex.Vector {
+// metaVector copies docID's level-1 index out of the arena as a fresh
+// vector. The scan released the shard lock before the τ-cut, so a Delete may
+// have swap-removed another document into the row the scan matched: the row
+// is looked up again by ID, and nil is returned if the document is gone.
+func (sh *shard) metaVector(docID string, nbits int) *bitindex.Vector {
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	return bitindex.FromWords(nbits, sh.levels[0][row*sh.stride:(row+1)*sh.stride])
+	row, ok := sh.byID[docID]
+	if !ok {
+		return nil
+	}
+	return bitindex.FromColumns(nbits, sh.cols[0], row)
 }
 
 // searchSharded fans qs out across shards with the worker pool and merges
@@ -551,14 +537,15 @@ func (s *Server) searchSharded(sc *scanScratch, qs []*bitindex.Vector, tau int, 
 			cands = cands[:tau]
 		}
 		sc.cands = cands[:0]
-		if len(cands) == 0 {
-			continue // out[qi] stays nil, matching the sequential scan
+		ms := make([]Match, 0, len(cands))
+		for _, c := range cands {
+			if meta := c.sh.metaVector(c.id, s.params.R); meta != nil {
+				ms = append(ms, Match{DocID: c.id, Rank: c.rank, Meta: meta})
+			}
 		}
-		ms := make([]Match, len(cands))
-		for i, c := range cands {
-			ms[i] = Match{DocID: c.id, Rank: c.rank, Meta: c.sh.metaVector(c.row, s.params.R)}
+		if len(ms) > 0 { // otherwise out[qi] stays nil, matching the sequential scan
+			out[qi] = ms
 		}
-		out[qi] = ms
 	}
 }
 
@@ -575,13 +562,10 @@ type scanJob struct {
 }
 
 // scanParallel dispatches one job per persistent shard-affine worker and
-// waits for all of them. Earlier revisions spun up a fresh goroutine pool
-// per search with an atomic shard cursor; persistent workers keep the
-// goroutine stack and scheduler state warm across searches and pin each
-// shard to one worker, so a shard's arenas are always rescanned by the
-// goroutine that scanned them last. Comparison counts are accumulated in
-// each worker's scratch and folded into Costs here with a single atomic add
-// per search instead of one per shard.
+// waits for all of them. Persistent workers keep the goroutine stack and
+// scheduler state warm across searches and pin each shard to one worker.
+// Comparison counts are accumulated in each worker's scratch and folded into
+// Costs here with a single atomic add per search.
 func (s *Server) scanParallel(sqs []*bitindex.Sparse, sc *scanScratch, nq, workers int) {
 	s.startWorkers.Do(s.spawnWorkers)
 	sc.wg.Add(workers)
@@ -742,12 +726,12 @@ type exported struct {
 	doc *EncryptedDocument
 }
 
-// materializeLocked rebuilds row's SearchIndex from the arenas. The caller
+// materializeLocked rebuilds row's SearchIndex from the columns. The caller
 // must hold at least a read lock on the shard.
 func (sh *shard) materializeLocked(row, nbits int) *SearchIndex {
-	si := &SearchIndex{DocID: sh.ids[row], Levels: make([]*bitindex.Vector, len(sh.levels))}
-	for l, arena := range sh.levels {
-		si.Levels[l] = bitindex.FromWords(nbits, arena[row*sh.stride:(row+1)*sh.stride])
+	si := &SearchIndex{DocID: sh.ids[row], Levels: make([]*bitindex.Vector, len(sh.cols))}
+	for l, level := range sh.cols {
+		si.Levels[l] = bitindex.FromColumns(nbits, level, row)
 	}
 	return si
 }

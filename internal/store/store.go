@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 
 	"mkse/internal/bitindex"
 	"mkse/internal/core"
@@ -306,6 +307,12 @@ func readParams(r io.Reader) (core.Params, error) {
 		}
 		vals[i] = v
 	}
+	// Refuse R before mk sizes a server's columns from it: an unchecked
+	// 2^30 in a 96-byte corrupt header would allocate gigabytes. Validate
+	// enforces the same bound, so every snapshot a server writes loads.
+	if r := vals[0]; r > core.MaxR {
+		return core.Params{}, fmt.Errorf("%w: %d-bit index in header exceeds %d", ErrBadSnapshot, r, core.MaxR)
+	}
 	nLevels := vals[6]
 	if nLevels <= 0 || nLevels > 1000 {
 		return core.Params{}, fmt.Errorf("%w: %d levels in header", ErrBadSnapshot, nLevels)
@@ -354,14 +361,25 @@ func writeBytes(w io.Writer, b []byte) error {
 	return err
 }
 
+// readChunk caps how far readBytes grows its buffer ahead of the bytes
+// actually read.
+const readChunk = 64 << 10
+
+// readBytes reads a length-prefixed field. The buffer grows with the data
+// that is really there, at most readChunk at a time, so a corrupt length
+// field in a short file cannot force a gigabyte allocation.
 func readBytes(r io.Reader) ([]byte, error) {
 	n, err := readInt(r)
 	if err != nil {
 		return nil, err
 	}
-	b := make([]byte, n)
-	if _, err := io.ReadFull(r, b); err != nil {
-		return nil, fmt.Errorf("%w: truncated payload", ErrBadSnapshot)
+	b := make([]byte, 0, min(n, readChunk))
+	for len(b) < n {
+		k := min(n-len(b), readChunk)
+		b = slices.Grow(b, k)[:len(b)+k]
+		if _, err := io.ReadFull(r, b[len(b)-k:]); err != nil {
+			return nil, fmt.Errorf("%w: truncated payload", ErrBadSnapshot)
+		}
 	}
 	return b, nil
 }

@@ -7,6 +7,7 @@ import (
 	"math/big"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"mkse/internal/core"
@@ -16,7 +17,7 @@ import (
 
 // populatedServer builds an owner + server pair with a few documents and
 // returns both plus the documents for verification.
-func populatedServer(t *testing.T) (*core.Owner, *core.Server, []*corpus.Document) {
+func populatedServer(t testing.TB) (*core.Owner, *core.Server, []*corpus.Document) {
 	t.Helper()
 	p := core.DefaultParams().WithLevels(rank.Levels{1, 5, 10})
 	p.Bins = 16
@@ -263,5 +264,58 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	// A truncated metadata header is a bad snapshot, not a crash.
 	if _, _, err := LoadCheckpoint(bytes.NewReader(buf.Bytes()[:20]), core.NewServer); !errors.Is(err, ErrBadSnapshot) {
 		t.Fatalf("truncated checkpoint header = %v, want ErrBadSnapshot", err)
+	}
+}
+
+// emptyCheckpoint encodes a V3 checkpoint of parameters p holding no
+// documents. writeParams does not validate, so p may be corrupt.
+func emptyCheckpoint(t *testing.T, p core.Params) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	buf.Write(magicV3[:])
+	buf.Write(make([]byte, 24)) // LSN, term, term start
+	if err := writeParams(&buf, p); err != nil {
+		t.Fatal(err)
+	}
+	if err := writeInt(&buf, 0); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// Corrupt size fields must be refused without allocating what they claim: a
+// 2^30-bit R in the header (the server's columns are sized from R before any
+// document is read) and a 2^30-byte length prefix on a document ID in a file
+// a few kilobytes long.
+func TestLoadBoundsCorruptSizes(t *testing.T) {
+	_, srv, _ := populatedServer(t)
+	var buf bytes.Buffer
+	if err := SaveCheckpoint(&buf, srv, CheckpointMeta{}); err != nil {
+		t.Fatal(err)
+	}
+	hugeID := bytes.Clone(buf.Bytes())
+	binary.BigEndian.PutUint64(hugeID[32+8*11:], 1<<30) // after magic, meta, 10 parameter ints and the count
+	p := core.DefaultParams()
+	p.R = 1 << 30
+	for name, data := range map[string][]byte{"R": emptyCheckpoint(t, p), "ID length": hugeID} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, _, err := LoadCheckpointBytes(data, core.NewServer)
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, ErrBadSnapshot) {
+			t.Fatalf("corrupt %s gave %v, want ErrBadSnapshot", name, err)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+			t.Fatalf("refusing a corrupt %s in %d bytes allocated %d bytes", name, len(data), grew)
+		}
+	}
+	// The R bound itself stays loadable.
+	p.R = core.MaxR
+	loaded, _, err := LoadCheckpointBytes(emptyCheckpoint(t, p), core.NewServer)
+	if err != nil {
+		t.Fatalf("%d-bit header: %v", core.MaxR, err)
+	}
+	if loaded.Params().R != core.MaxR {
+		t.Fatalf("loaded R = %d, want %d", loaded.Params().R, core.MaxR)
 	}
 }
