@@ -93,13 +93,17 @@ func main() {
 	}
 	owner.RegisterDictionary(dictionary)
 
+	indices, err := owner.BuildIndexes(docs, 0)
+	if err != nil {
+		d.Exitf(1, "indexing: %v", err)
+	}
 	items := make([]service.UploadItem, 0, len(docs))
-	for _, doc := range docs {
-		si, enc, err := owner.Prepare(doc)
+	for i, doc := range docs {
+		enc, err := owner.EncryptDocument(doc)
 		if err != nil {
-			d.Exitf(1, "preparing %q: %v", doc.ID, err)
+			d.Exitf(1, "encrypting %q: %v", doc.ID, err)
 		}
-		items = append(items, service.UploadItem{Index: si, Doc: enc})
+		items = append(items, service.UploadItem{Index: indices[i], Doc: enc})
 	}
 	if len(items) > 0 {
 		if err := service.UploadAll(*cloud, items); err != nil {

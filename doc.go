@@ -18,6 +18,12 @@
 // blind-decryption protocol with the owner so that nobody, owner included,
 // learns which document the user read.
 //
+// A keyword's index depends only on the keyword and its bin key, so each
+// is derived once per key: the owner derives each distinct keyword of an
+// index batch once (core.Owner.BuildIndexes) and keeps nothing after the
+// batch, and a user memoizes the trapdoors it derives until the key epoch
+// changes or a bin's key is replaced (core.User.Trapdoor).
+//
 // # Server engine
 //
 // The server stores indices in sharded word-major arenas — one contiguous

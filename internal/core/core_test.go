@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"fmt"
 	"math/big"
+	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -183,8 +185,11 @@ func TestBuildIndexEmptyLevelsMatchNothing(t *testing.T) {
 	}
 }
 
-// BuildIndexes must produce exactly what sequential BuildIndex does, in
-// order, regardless of worker count, and must surface errors.
+// BuildIndexes must produce exactly what per-document BuildIndex does, in
+// order, at every level and for any worker count, although it derives each
+// distinct keyword of the batch once. The corpus shares keywords across
+// documents, repeats documents, and has documents whose higher levels hold
+// no keyword (all-ones).
 func TestBuildIndexesParallelMatchesSequential(t *testing.T) {
 	o := sharedOwner(t)
 	docs, err := corpus.Generate(corpus.Config{
@@ -194,33 +199,87 @@ func TestBuildIndexesParallelMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, err := o.BuildIndexes(docs, 1)
-	if err != nil {
-		t.Fatal(err)
+	flat := &corpus.Document{ID: "flat", TermFreqs: map[string]int{docs[0].Keywords()[0]: 1, "flat-only": 1}}
+	docs = append(docs, docs[3], flat, docs[3])
+	want := make([]*SearchIndex, len(docs))
+	for i, d := range docs {
+		if want[i], err = o.BuildIndex(d); err != nil {
+			t.Fatal(err)
+		}
 	}
-	for _, workers := range []int{0, 2, 4, 16, 100} {
+	if !want[len(docs)-2].Levels[1].Equal(bitindex.NewOnes(o.Params().R)) {
+		t.Fatal("fixture: the flat document's level 2 is not empty")
+	}
+	// Level 1 from first principles: the AND of every random keyword's and
+	// every document keyword's trapdoor (Equation 2).
+	for i, d := range docs {
+		ref := bitindex.NewOnes(o.Params().R)
+		for _, v := range o.RandomTrapdoors() {
+			ref.AndInto(v)
+		}
+		for w := range d.TermFreqs {
+			ref.AndInto(o.Trapdoor(w))
+		}
+		if !want[i].Levels[0].Equal(ref) {
+			t.Fatalf("doc %s: BuildIndex level 1 is not the AND of its trapdoors", d.ID)
+		}
+	}
+	for _, workers := range []int{0, 1, 2, 4, 16, 100} {
 		par, err := o.BuildIndexes(docs, workers)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		if len(par) != len(seq) {
-			t.Fatalf("workers=%d: %d results, want %d", workers, len(par), len(seq))
+		if len(par) != len(want) {
+			t.Fatalf("workers=%d: %d results, want %d", workers, len(par), len(want))
 		}
-		for i := range seq {
-			if par[i].DocID != seq[i].DocID {
-				t.Fatalf("workers=%d: result %d is %q, want %q", workers, i, par[i].DocID, seq[i].DocID)
+		for i := range want {
+			if par[i].DocID != want[i].DocID {
+				t.Fatalf("workers=%d: result %d is %q, want %q", workers, i, par[i].DocID, want[i].DocID)
 			}
-			for li := range seq[i].Levels {
-				if !par[i].Levels[li].Equal(seq[i].Levels[li]) {
-					t.Fatalf("workers=%d: doc %s level %d differs from sequential", workers, seq[i].DocID, li+1)
+			for li := range want[i].Levels {
+				if !par[i].Levels[li].Equal(want[i].Levels[li]) {
+					t.Fatalf("workers=%d: doc %s level %d differs from BuildIndex", workers, want[i].DocID, li+1)
 				}
 			}
 		}
 	}
-	// Error propagation: one bad document aborts the batch.
-	bad := append(append([]*corpus.Document{}, docs...), &corpus.Document{ID: "empty", TermFreqs: map[string]int{}})
-	if _, err := o.BuildIndexes(bad, 4); err == nil {
-		t.Error("batch with invalid document succeeded")
+	// One derivation per distinct level-1 keyword of the batch.
+	distinct := make(map[string]bool)
+	for _, d := range docs {
+		for _, w := range o.Params().Levels.KeywordsAtLevel(d.TermFreqs, 1) {
+			distinct[w] = true
+		}
+	}
+	before := o.Costs.Snapshot().HashOps
+	if _, err := o.BuildIndexes(docs, 4); err != nil {
+		t.Fatal(err)
+	}
+	if got := o.Costs.Snapshot().HashOps - before; got != int64(len(distinct)) {
+		t.Errorf("BuildIndexes hashed %d times, want %d (one per distinct keyword)", got, len(distinct))
+	}
+}
+
+// An invalid batch fails with its first invalid document's error and leaves
+// no goroutine behind.
+func TestBuildIndexesInvalidBatchLeaksNoGoroutine(t *testing.T) {
+	o := sharedOwner(t)
+	docs := []*corpus.Document{
+		{ID: "ok", TermFreqs: map[string]int{"alpha": 2}},
+		{ID: "first-bad"},
+		{ID: "second-bad"},
+		{ID: "third-bad"},
+	}
+	before := runtime.NumGoroutine()
+	_, err := o.BuildIndexes(docs, 2)
+	if err == nil || !strings.Contains(err.Error(), `"first-bad"`) {
+		t.Fatalf("error = %v, want the first invalid document's", err)
+	}
+	// Goroutines that are exiting may still be counted; wait for them.
+	for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > before; {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines: %d before the batch, %d after", before, runtime.NumGoroutine())
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"math/big"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"mkse/internal/bins"
 	"mkse/internal/bitindex"
@@ -115,12 +116,21 @@ func (o *Owner) RandomTrapdoors() []*bitindex.Vector {
 // same computation on the owner (index generation) and user (query
 // generation) sides.
 func (o *Owner) keywordIndex(w string) *bitindex.Vector {
+	return o.keywordIndexUnder(o.keySet(), w)
+}
+
+// keySet returns the current bin keys; rotation swaps the pointer, so a
+// caller that derives many keywords reads it once and derives them all under
+// one key epoch.
+func (o *Owner) keySet() *bins.KeySet {
 	o.mu.Lock()
-	ks := o.binKeys // pointer copy under the lock; rotation swaps it
-	o.mu.Unlock()
-	key := ks.KeyFor(w)
+	defer o.mu.Unlock()
+	return o.binKeys
+}
+
+func (o *Owner) keywordIndexUnder(ks *bins.KeySet, w string) *bitindex.Vector {
 	o.Costs.HashOps.Add(1)
-	return bitindex.Reduce(kdf.ExpandString(key, w, o.params.HMACBytes()), o.params.R, o.params.D)
+	return bitindex.Reduce(kdf.ExpandString(ks.KeyFor(w), w, o.params.HMACBytes()), o.params.R, o.params.D)
 }
 
 // Trapdoor exposes the keyword index for callers that legitimately hold the
@@ -133,14 +143,27 @@ func (o *Owner) Trapdoor(w string) *bitindex.Vector { return o.keywordIndex(w) }
 // folds in all U random keywords so that randomized queries (which AND in V
 // of them) still match at every level.
 func (o *Owner) BuildIndex(doc *corpus.Document) (*SearchIndex, error) {
+	out, err := o.BuildIndexes([]*corpus.Document{doc}, 1)
+	if err != nil {
+		return nil, err
+	}
+	return out[0], nil
+}
+
+func checkDocument(doc *corpus.Document) error {
 	if doc == nil || doc.ID == "" {
-		return nil, fmt.Errorf("core: document without ID")
+		return fmt.Errorf("core: document without ID")
 	}
 	if len(doc.TermFreqs) == 0 {
-		return nil, fmt.Errorf("core: document %q has no keywords", doc.ID)
+		return fmt.Errorf("core: document %q has no keywords", doc.ID)
 	}
-	// Compute each distinct keyword's index once, then fold per level.
-	cache := make(map[string]*bitindex.Vector, len(doc.TermFreqs))
+	return nil
+}
+
+// foldIndex ANDs each level's keyword trapdoors (looked up in trapdoors,
+// which must hold every level-1 keyword of doc; level 1 holds every keyword
+// any level holds) into the random-keyword base.
+func (o *Owner) foldIndex(doc *corpus.Document, trapdoors map[string]*bitindex.Vector) *SearchIndex {
 	si := &SearchIndex{DocID: doc.ID, Levels: make([]*bitindex.Vector, o.params.Eta())}
 	for li := 0; li < o.params.Eta(); li++ {
 		words := o.params.Levels.KeywordsAtLevel(doc.TermFreqs, li+1)
@@ -155,75 +178,75 @@ func (o *Owner) BuildIndex(doc *corpus.Document) (*SearchIndex, error) {
 		}
 		level := o.randomAll.Clone()
 		for _, w := range words {
-			idx, ok := cache[w]
-			if !ok {
-				idx = o.keywordIndex(w)
-				cache[w] = idx
-			}
-			level.AndInto(idx)
+			level.AndInto(trapdoors[w])
 			o.Costs.BitwiseProducts.Add(1)
 		}
 		si.Levels[li] = level
 	}
-	return si, nil
+	return si
 }
 
 // BuildIndexes builds search indices for a batch of documents using the
 // given number of parallel workers (<= 0 means GOMAXPROCS). The paper notes
 // that "index calculation problem is of highly parallelized nature"
-// (Section 8.1); per-keyword HMACs are independent, so the speedup is near
-// linear. Results are returned in input order; the first error aborts the
-// batch.
+// (Section 8.1). Every document is checked before any work starts; then
+// each distinct keyword of the batch is derived once, the derivations
+// spread over the workers, and each document's levels are folded from that
+// table. The table lives for this call only, so a batch of one document
+// (BuildIndex) derives exactly its own keywords. Results are returned in
+// input order; the first invalid document's error fails the batch.
 func (o *Owner) BuildIndexes(docs []*corpus.Document, workers int) ([]*SearchIndex, error) {
+	for _, d := range docs {
+		if err := checkDocument(d); err != nil {
+			return nil, err
+		}
+	}
+	trapdoors := make(map[string]*bitindex.Vector)
+	for _, d := range docs {
+		for _, w := range o.params.Levels.KeywordsAtLevel(d.TermFreqs, 1) {
+			trapdoors[w] = nil
+		}
+	}
+	words := make([]string, 0, len(trapdoors))
+	for w := range trapdoors {
+		words = append(words, w)
+	}
+	ks := o.keySet()
+	derived := make([]*bitindex.Vector, len(words))
+	parallelFor(len(words), workers, func(i int) { derived[i] = o.keywordIndexUnder(ks, words[i]) })
+	for i, w := range words {
+		trapdoors[w] = derived[i]
+	}
+	out := make([]*SearchIndex, len(docs))
+	parallelFor(len(docs), workers, func(i int) { out[i] = o.foldIndex(docs[i], trapdoors) })
+	return out, nil
+}
+
+// parallelFor calls fn(i) for every i in [0, n) on up to workers goroutines
+// (<= 0 means GOMAXPROCS) and returns once every call has returned.
+func parallelFor(n, workers int, fn func(i int)) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(docs) {
-		workers = len(docs)
-	}
+	workers = min(workers, n)
 	if workers <= 1 {
-		out := make([]*SearchIndex, len(docs))
-		for i, d := range docs {
-			si, err := o.BuildIndex(d)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = si
+		for i := 0; i < n; i++ {
+			fn(i)
 		}
-		return out, nil
+		return
 	}
-	out := make([]*SearchIndex, len(docs))
-	errs := make(chan error, workers)
-	next := make(chan int)
-	go func() {
-		for i := range docs {
-			next <- i
-		}
-		close(next)
-	}()
-	for w := 0; w < workers; w++ {
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for k := 0; k < workers; k++ {
 		go func() {
-			for i := range next {
-				si, err := o.BuildIndex(docs[i])
-				if err != nil {
-					errs <- err
-					return
-				}
-				out[i] = si
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+				fn(i)
 			}
-			errs <- nil
 		}()
 	}
-	var firstErr error
-	for w := 0; w < workers; w++ {
-		if err := <-errs; err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	return out, nil
+	wg.Wait()
 }
 
 // EncryptDocument encrypts a document body under a fresh symmetric key,

@@ -90,9 +90,10 @@ type Server struct {
 
 	// Persistent shard-affine scan workers, spawned on the first parallel
 	// search. jobs[k] feeds the worker owning shards k, k+W, k+2W, … (W =
-	// workers). The goroutines reference only their channel and shard
-	// subset — not the Server — so a cleanup attached to the Server can
-	// close the channels and end them once the Server is unreachable.
+	// workers). An idle goroutine references only its channel, k and W —
+	// not the Server and not its shards — so a cleanup attached to the
+	// Server can close the channels and end them once the Server is
+	// unreachable, and the store is freed with it.
 	startWorkers sync.Once
 	jobs         []chan scanJob
 
@@ -552,13 +553,15 @@ func (s *Server) searchSharded(sc *scanScratch, qs []*bitindex.Vector, tau int, 
 // scanJob is one search's worth of work for one persistent scan worker: scan
 // every shard the worker owns with sqs, feed heaps, leave the comparison
 // count in ws.cmps, and signal wg. All fields are owned by the dispatching
-// search until wg is signalled.
+// search until wg is signalled. The job, not the worker, carries the
+// shards, so an idle worker keeps none of them alive.
 type scanJob struct {
-	sqs   []*bitindex.Sparse
-	heaps []topTau // full shard × query grid; indexed by the worker's shard numbers
-	nq    int
-	ws    *workerScratch
-	wg    *sync.WaitGroup
+	shards []*shard
+	sqs    []*bitindex.Sparse
+	heaps  []topTau // full shard × query grid; indexed by global shard number
+	nq     int
+	ws     *workerScratch
+	wg     *sync.WaitGroup
 }
 
 // scanParallel dispatches one job per persistent shard-affine worker and
@@ -570,7 +573,7 @@ func (s *Server) scanParallel(sqs []*bitindex.Sparse, sc *scanScratch, nq, worke
 	s.startWorkers.Do(s.spawnWorkers)
 	sc.wg.Add(workers)
 	for k := 0; k < workers; k++ {
-		s.jobs[k] <- scanJob{sqs: sqs, heaps: sc.heaps, nq: nq, ws: &sc.workers[k], wg: &sc.wg}
+		s.jobs[k] <- scanJob{shards: s.shards, sqs: sqs, heaps: sc.heaps, nq: nq, ws: &sc.workers[k], wg: &sc.wg}
 	}
 	sc.wg.Wait()
 	var cmps int64
@@ -583,7 +586,7 @@ func (s *Server) scanParallel(sqs []*bitindex.Sparse, sc *scanScratch, nq, worke
 // spawnWorkers starts the persistent scan workers. Worker k owns shards
 // k, k+W, k+2W, … — a fixed assignment, so every rescan of a shard touches
 // memory the same goroutine last walked. The workers hold no reference to
-// the Server (only their job channel and shard subset), letting the
+// the Server or its shards (only their job channel, k and W), letting the
 // attached cleanup close the channels — and end the goroutines — once the
 // Server itself is unreachable.
 func (s *Server) spawnWorkers() {
@@ -591,13 +594,7 @@ func (s *Server) spawnWorkers() {
 	for k := range s.jobs {
 		jobs := make(chan scanJob, 1)
 		s.jobs[k] = jobs
-		var owned []*shard
-		var idx []int
-		for i := k; i < len(s.shards); i += s.workers {
-			owned = append(owned, s.shards[i])
-			idx = append(idx, i)
-		}
-		go scanWorker(jobs, owned, idx)
+		go scanWorker(jobs, k, s.workers)
 	}
 	runtime.AddCleanup(s, stopWorkers, s.jobs)
 }
@@ -611,15 +608,13 @@ func stopWorkers(jobs []chan scanJob) {
 	}
 }
 
-// scanWorker is the persistent scan loop: one job per search, covering the
-// worker's fixed shard subset. idx[i] is owned[i]'s global shard number,
-// used to address the job's flat shard × query heap grid.
-func scanWorker(jobs <-chan scanJob, owned []*shard, idx []int) {
+// scanWorker is the persistent scan loop: one job per search, covering
+// shards k, k+w, k+2w, … of the job's shard slice.
+func scanWorker(jobs <-chan scanJob, k, w int) {
 	for j := range jobs {
 		var cmps int64
-		for i, sh := range owned {
-			si := idx[i]
-			cmps += sh.scan(j.sqs, j.ws, j.heaps[si*j.nq:(si+1)*j.nq])
+		for si := k; si < len(j.shards); si += w {
+			cmps += j.shards[si].scan(j.sqs, j.ws, j.heaps[si*j.nq:(si+1)*j.nq])
 		}
 		j.ws.cmps = cmps
 		j.wg.Done()

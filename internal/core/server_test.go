@@ -3,10 +3,12 @@ package core
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sort"
 	"sync"
 	"testing"
 	"time"
+	"weak"
 
 	"mkse/internal/bitindex"
 	"mkse/internal/corpus"
@@ -453,6 +455,30 @@ func TestSearchScanPathAllocationFree(t *testing.T) {
 	}
 }
 
+// A warm query build hashes nothing: the trapdoors come from the user's
+// memo, leaving the query vector and the decoy draw as its only
+// allocations.
+func TestBuildQueryWarmAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates on otherwise allocation-free paths")
+	}
+	o := sharedOwner(t)
+	u := newUserFor(t, o, "warm-allocs")
+	u.SeedQueryRNG(61)
+	words := []string{"warm-a", "warm-b"}
+	fetchTrapdoors(t, o, u, words)
+	if _, err := u.BuildQuery(words); err != nil {
+		t.Fatal(err)
+	}
+	if got := testing.AllocsPerRun(100, func() {
+		if _, err := u.BuildQuery(words); err != nil {
+			t.Fatal(err)
+		}
+	}); got > 6 {
+		t.Errorf("warm BuildQuery allocates %.0f times, want <= 6", got)
+	}
+}
+
 // A batch is one scan: SearchBatchContext calls the scan hook exactly once
 // per batch, not once per query, and hands it the caller's context — the
 // one a traced request's "scan" span must land in.
@@ -540,5 +566,29 @@ func TestEpochAdvancesOnEveryMutation(t *testing.T) {
 	}
 	if got := srv.Epoch(); got != 7 {
 		t.Fatalf("epoch after search = %d, want 7", got)
+	}
+}
+
+// A dropped Server must release its store at once: its persistent scan
+// workers outlive it until the Server's cleanup closes their channels, so
+// an idle worker must not hold the shards, or the store survives into the
+// GC cycles after the cleanup runs.
+func TestDroppedServerReleasesShards(t *testing.T) {
+	o := sharedOwner(t)
+	shardRef := func() weak.Pointer[shard] {
+		srv, err := NewServerSharded(o.Params(), 4, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		uploadCorpus(t, o, 20, 41, srv)
+		if _, err := srv.SearchTop(bitindex.NewOnes(o.Params().R), 5); err != nil {
+			t.Fatal(err)
+		}
+		return weak.Make(srv.shards[1])
+	}()
+	runtime.GC()
+	runtime.GC()
+	if shardRef.Value() != nil {
+		t.Fatal("a shard of a dropped server survived two GC cycles")
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	crand "crypto/rand"
 	"encoding/binary"
 	"fmt"
@@ -31,11 +32,23 @@ type User struct {
 	mu       sync.Mutex
 	keys     *bins.KeySet                // partial: only requested bins are populated
 	vectors  map[string]*bitindex.Vector // vector-mode trapdoors (§4.2 alternative)
+	derived  map[string]derivedTrapdoor  // trapdoors derived from keys, ≤ maxDerived
 	keyEpoch int64                       // epoch the cached material belongs to
 	rng      *mrand.Rand                 // drives the V-of-U random-keyword selection
 
 	// Costs tallies the user-side operation counts of Table 2.
 	Costs costs.Counters
+}
+
+// maxDerived bounds the user's memo of trapdoors derived from bin keys.
+// Past it a trapdoor is derived on every use, as if there were no memo.
+const maxDerived = 1 << 16
+
+// derivedTrapdoor is a memoized trapdoor and the bin whose key it came from,
+// so installing a different key for that bin can drop it.
+type derivedTrapdoor struct {
+	bin int
+	v   *bitindex.Vector
 }
 
 // NewSigningKey generates a user signature key pair. Networked clients need
@@ -97,6 +110,7 @@ func NewUserWithKey(id string, p Params, ownerPub *blindrsa.PublicKey, randomTra
 		randomTrapdoors: randomTrapdoors,
 		keys:            keys,
 		vectors:         make(map[string]*bitindex.Vector),
+		derived:         make(map[string]derivedTrapdoor),
 		keyEpoch:        1,
 		rng:             mrand.New(mrand.NewSource(int64(binary.LittleEndian.Uint64(seedBytes[:])))),
 	}, nil
@@ -160,6 +174,7 @@ func (u *User) ObserveEpoch(epoch int64) (expired bool, err error) {
 	}
 	u.keys = fresh
 	u.vectors = make(map[string]*bitindex.Vector)
+	u.derived = make(map[string]derivedTrapdoor)
 	u.keyEpoch = epoch
 	return true, nil
 }
@@ -201,6 +216,8 @@ func (u *User) BinIDs(words []string) []int {
 
 // InstallTrapdoorKeys stores bin keys received from the data owner. binIDs
 // and keys must be parallel slices as returned by Owner.TrapdoorKeys.
+// Installing a different key for a bin drops the trapdoors derived from its
+// old key.
 func (u *User) InstallTrapdoorKeys(binIDs []int, keys [][]byte) error {
 	if len(binIDs) != len(keys) {
 		return fmt.Errorf("core: %d bin IDs with %d keys", len(binIDs), len(keys))
@@ -208,8 +225,19 @@ func (u *User) InstallTrapdoorKeys(binIDs []int, keys [][]byte) error {
 	u.mu.Lock()
 	defer u.mu.Unlock()
 	for i, b := range binIDs {
+		var old []byte
+		if b >= 0 && b < u.params.Bins {
+			old = u.keys.Key(b)
+		}
 		if err := u.keys.SetKey(b, keys[i]); err != nil {
 			return fmt.Errorf("core: installing trapdoor key: %w", err)
+		}
+		if old != nil && !bytes.Equal(old, keys[i]) {
+			for w, d := range u.derived {
+				if d.bin == b {
+					delete(u.derived, w)
+				}
+			}
 		}
 	}
 	return nil
@@ -232,20 +260,38 @@ func (u *User) HasTrapdoorFor(word string) bool {
 
 // Trapdoor returns the keyword's index vector I_w: the precomputed vector
 // if the owner delivered one, otherwise the Equation 1 reduction computed
-// from the installed bin key (the same computation the owner applies).
+// from the installed bin key (the same computation the owner applies). A
+// derived trapdoor is memoized until its epoch ends or its bin's key is
+// replaced, so a keyword is hashed once per key ("the user can use the same
+// trapdoor for many queries", Section 3). The returned vector is shared and
+// must not be modified.
 func (u *User) Trapdoor(word string) (*bitindex.Vector, error) {
 	u.mu.Lock()
 	if v, ok := u.vectors[word]; ok {
 		u.mu.Unlock()
 		return v, nil
 	}
+	if d, ok := u.derived[word]; ok {
+		u.mu.Unlock()
+		return d.v, nil
+	}
 	key, err := u.keys.PartialKeyFor(word)
+	epoch := u.keyEpoch
 	u.mu.Unlock()
 	if err != nil {
 		return nil, err
 	}
+	// Derive outside the lock; store only if the key is still current, so a
+	// rotation racing this call never leaves a stale trapdoor behind.
 	u.Costs.HashOps.Add(1)
-	return bitindex.Reduce(kdf.ExpandString(key, word, u.params.HMACBytes()), u.params.R, u.params.D), nil
+	v := bitindex.Reduce(kdf.ExpandString(key, word, u.params.HMACBytes()), u.params.R, u.params.D)
+	bin := bins.GetBin(word, u.params.Bins)
+	u.mu.Lock()
+	if u.keyEpoch == epoch && bytes.Equal(u.keys.Key(bin), key) && len(u.derived) < maxDerived {
+		u.derived[word] = derivedTrapdoor{bin: bin, v: v}
+	}
+	u.mu.Unlock()
+	return v, nil
 }
 
 // BuildQuery assembles the randomized r-bit query index for the given search

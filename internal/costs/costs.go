@@ -12,7 +12,11 @@ import (
 // Counters tallies the unit operations of Table 2 and the traffic of
 // Table 1 for one party. The zero value is ready to use.
 type Counters struct {
-	HashOps           atomic.Int64 // HMAC/keyword expansions
+	// HashOps counts keyword expansions (HMAC plus reduction). The owner
+	// counts one per distinct keyword per index batch (BuildIndex is a
+	// batch of one document); the user, one per keyword per bin key, since
+	// it memoizes what it derives.
+	HashOps           atomic.Int64
 	BitwiseProducts   atomic.Int64 // index AND folds
 	BinaryComparisons atomic.Int64 // r-bit index match tests (server search)
 	ModExps           atomic.Int64 // modular exponentiations (RSA ops)

@@ -30,8 +30,11 @@ func Expand(key, data []byte, l int) []byte {
 	}
 	out := make([]byte, 0, l+sha256.Size)
 	var counter [4]byte
+	// One keyed HMAC per call: Reset restores the keyed inner and outer
+	// states, so each block costs two compressions and no allocation.
+	mac := hmac.New(sha256.New, key)
 	for len(out) < l {
-		mac := hmac.New(sha256.New, key)
+		mac.Reset()
 		mac.Write(data)
 		mac.Write(counter[:])
 		out = mac.Sum(out)
