@@ -11,9 +11,9 @@
 //	mkse-client -owner ... -cloud ... -user alice delete doc-00042
 //	mkse-client -cloud localhost:7002 stats
 //	mkse-client -cloud localhost:7002 -json stats
-//	mkse-client -owner ... -cluster host1:7002,host2:7002 -user alice \
+//	mkse-client -owner ... -cloud host1:7002,host2:7002 -user alice \
 //	            search cloud encrypted ranked
-//	mkse-client -owner ... -cluster ... -user alice trace cloud encrypted
+//	mkse-client -owner ... -cloud ... -user alice trace cloud encrypted
 //
 // Subcommands: search <kw...>, get <docID>, searchget <kw...> (search then
 // retrieve the best match), delete <docID>, trace <kw...> (search with its
@@ -21,24 +21,23 @@
 // cross-daemon span tree — coordinator, per-partition fan-out, and every
 // span the servers echoed back, with durations and attributes; the servers
 // need no -trace-sample flag, a propagated sampled context is always
-// continued), stats (one-round-trip server introspection: document/shard
-// counts, WAL position, replication lag, query-result cache counters; needs
-// only -cloud, no enrollment). With -json, stats emits one JSON object
-// keyed by the daemon's Prometheus series names (mkse_documents,
-// mkse_wal_position, …), so scripts parse the same vocabulary a /metrics
-// scrape exposes.
+// continued), stats (one round trip per partition of server
+// introspection; needs only -cloud, no enrollment). stats prints each
+// partition's state series — documents, shards, epoch, WAL position, term,
+// replication lag, query-result cache counters — as the `name value` lines
+// a /metrics scrape of that daemon shows, then a `cluster` line with the
+// partition count and the total document count. With -json, stats prints
+// a JSON array with one object per partition, keyed by the same series
+// names.
 //
-// -cloud is a one-partition -cluster: both dial the same client, and trace
-// prints the same scatter → partition → attempt tree for either.
-// -cluster replaces -cloud with a partitioned topology: a comma-separated
-// partition list, each element "primary[/replica...]", in partition order
-// (element i must be the daemon started with -partition i/P). Searches
-// scatter to every partition and gather into the exact order a single
-// server would return; get and delete route to the partition owning the
-// document ID; stats fetches every partition and prints the per-partition
-// and aggregated counters. When a partition is unreachable the client falls
-// back to its listed replicas, and failing that reports which partitions
-// the (partial) result is missing.
+// -cloud names the topology: a comma-separated partition list, each
+// element "primary[/replica...]", in partition order (element i must be the
+// daemon started with -partition i/P). A bare address is one partition.
+// Searches scatter to every partition and gather into the exact order a
+// single server would return; get and delete route to the partition owning
+// the document ID. When a partition is unreachable the client falls back
+// to its listed replicas, and failing that reports which partitions the
+// (partial) result is missing.
 package main
 
 import (
@@ -58,24 +57,23 @@ import (
 func main() {
 	var (
 		ownerAddr = flag.String("owner", "localhost:7001", "owner daemon address")
-		cloudAddr = flag.String("cloud", "localhost:7002", "cloud daemon address")
-		clusterTg = flag.String("cluster", "", "partitioned topology host1[/replica],host2,... in partition order (replaces -cloud)")
+		cloudTg   = flag.String("cloud", "localhost:7002", "cloud topology primary[/replica...],... in partition order; a bare address is one partition")
 		user      = flag.String("user", "cli-user", "user identity to enroll as")
 		topK      = flag.Int("top", 10, "maximum matches to request (τ)")
 		dialTO    = flag.Duration("dial-timeout", service.DialTimeout, "per-connection dial budget")
-		asJSON    = flag.Bool("json", false, "emit stats as JSON keyed by Prometheus series names")
+		asJSON    = flag.Bool("json", false, "emit stats as a JSON array, one object per partition keyed by Prometheus series names")
 	)
 	cliutil.Parse("mkse-client")
 	service.DialTimeout = *dialTO
+	cfg, err := cluster.ParseTargets(*cloudTg)
+	if err != nil {
+		log.Fatalf("mkse-client: %v", err)
+	}
 	args := flag.Args()
 	if len(args) >= 1 && args[0] == "stats" {
-		// Operator introspection: a raw dial to the cloud daemon(s), no
-		// owner connection or user enrollment needed.
-		if *clusterTg != "" {
-			printClusterStats(*clusterTg, *asJSON)
-			return
-		}
-		printStats(*cloudAddr, *asJSON)
+		// Operator introspection: a raw dial to each partition, no owner
+		// connection or user enrollment needed.
+		printStats(cfg, *asJSON)
 		return
 	}
 	if len(args) < 2 {
@@ -83,17 +81,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	var client *service.Client
-	var err error
-	if *clusterTg != "" {
-		cfg, perr := cluster.ParseTargets(*clusterTg)
-		if perr != nil {
-			log.Fatalf("mkse-client: %v", perr)
-		}
-		client, err = service.DialCluster(*user, *ownerAddr, cfg)
-	} else {
-		client, err = service.Dial(*user, *ownerAddr, *cloudAddr)
-	}
+	client, err := service.DialCluster(*user, *ownerAddr, cfg)
 	if err != nil {
 		log.Fatalf("mkse-client: %v", err)
 	}
@@ -172,64 +160,9 @@ func main() {
 	}
 }
 
-// printStats renders one cloud daemon's stats response for operators:
-// aligned text by default, or (with -json) a JSON object keyed by the
-// daemon's Prometheus series names.
-func printStats(cloudAddr string, asJSON bool) {
-	st, err := service.FetchStats(cloudAddr)
-	if err != nil {
-		log.Fatalf("mkse-client: stats: %v", err)
-	}
-	if asJSON {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(service.StatsJSON(st)); err != nil {
-			log.Fatalf("mkse-client: stats: %v", err)
-		}
-		return
-	}
-	fmt.Printf("documents      %d\n", st.NumDocuments)
-	fmt.Printf("shards         %d\n", st.NumShards)
-	fmt.Printf("epoch          %d\n", st.Epoch)
-	if st.Durable {
-		fmt.Printf("wal-position   %d\n", st.WALPosition)
-		fmt.Printf("term           %d\n", st.Term)
-	} else {
-		fmt.Printf("wal-position   - (memory-only)\n")
-	}
-	if st.Replica {
-		fmt.Printf("replica        yes (connected=%v)\n", st.ReplicaConnected)
-		fmt.Printf("primary-pos    %d (lag %d records)\n", st.PrimaryPosition, st.PrimaryPosition-st.WALPosition)
-	} else {
-		fmt.Printf("replica        no\n")
-	}
-	for _, f := range st.Followers {
-		fmt.Printf("follower       %s (acked %d)\n", f.Addr, f.Acked)
-	}
-	c := st.Cache
-	if !c.Enabled {
-		fmt.Printf("cache          disabled\n")
-		return
-	}
-	total := c.Hits + c.Misses
-	rate := 0.0
-	if total > 0 {
-		rate = float64(c.Hits) / float64(total) * 100
-	}
-	fmt.Printf("cache          %d/%d bytes, %d entries\n", c.Bytes, c.MaxBytes, c.Entries)
-	fmt.Printf("cache-hits     %d (%.1f%% of %d lookups)\n", c.Hits, rate, total)
-	fmt.Printf("cache-misses   %d (%d epoch invalidations)\n", c.Misses, c.Invalidations)
-	fmt.Printf("cache-evicted  %d\n", c.Evictions)
-}
-
-// printClusterStats renders every partition's stats plus the cluster-wide
-// aggregate. With -json it emits an array of per-partition objects followed
-// by no aggregate — scripts sum the same series names themselves.
-func printClusterStats(targets string, asJSON bool) {
-	cfg, err := cluster.ParseTargets(targets)
-	if err != nil {
-		log.Fatalf("mkse-client: %v", err)
-	}
+// printStats prints every partition's stats reply, as text or (with -json)
+// as a JSON array of per-partition objects keyed by series name.
+func printStats(cfg cluster.Config, asJSON bool) {
 	parts, err := service.FetchClusterStats(cfg)
 	if err != nil {
 		log.Fatalf("mkse-client: stats: %v", err)
@@ -246,12 +179,11 @@ func printClusterStats(targets string, asJSON bool) {
 		}
 		return
 	}
-	agg := service.AggregateClusterStats(parts)
+	documents := 0
 	for i, st := range parts {
-		fmt.Printf("partition %d (%s): documents=%d shards=%d epoch=%d durable=%v\n",
-			i, cfg.Partitions[i].Primary, st.NumDocuments, st.NumShards, st.Epoch, st.Durable)
+		fmt.Printf("partition %d (%s)\n", i, cfg.Partitions[i].Primary)
+		service.WriteStats(os.Stdout, st)
+		documents += st.NumDocuments
 	}
-	fmt.Printf("cluster        %d partitions\n", agg.Partitions)
-	fmt.Printf("documents      %d\n", agg.NumDocuments)
-	fmt.Printf("shards         %d\n", agg.NumShards)
+	fmt.Printf("cluster        %d partitions, %d documents\n", len(parts), documents)
 }

@@ -1,7 +1,7 @@
 // Command mkse-owner runs the data-owner daemon of Figure 1 and performs the
 // offline stage: it indexes and encrypts every document under -docs (plain
-// text files; file name = document ID), uploads them to the cloud daemon,
-// then serves enrollment, trapdoor and blind-decryption requests.
+// text files; file name = document ID), uploads them to the cloud, then
+// serves enrollment, trapdoor and blind-decryption requests.
 //
 // Usage:
 //
@@ -10,6 +10,11 @@
 //
 // With -synthetic N it generates N synthetic documents instead of reading a
 // directory, which is handy for trying the system end to end.
+//
+// -cloud takes the same topology as mkse-client: a comma-separated
+// partition list, each element "primary[/replica...]", in partition order;
+// a bare address is one partition. Each document is uploaded to the
+// primary of the partition that owns its ID.
 //
 // -metrics-addr starts the telemetry sidecar (/metrics with the build-info
 // gauge, /healthz, /debug/pprof, and — with -trace-sample — /traces).
@@ -30,6 +35,7 @@ import (
 	"path/filepath"
 
 	"mkse/internal/cliutil"
+	"mkse/internal/cluster"
 	"mkse/internal/core"
 	"mkse/internal/corpus"
 	"mkse/internal/service"
@@ -41,7 +47,7 @@ func main() {
 	d := cliutil.NewDaemon("mkse-owner")
 	var (
 		listen    = flag.String("listen", ":7001", "address to listen on")
-		cloud     = flag.String("cloud", "localhost:7002", "cloud daemon address to upload to")
+		cloud     = flag.String("cloud", "localhost:7002", "cloud topology to upload to: primary[/replica...],... in partition order")
 		docsDir   = flag.String("docs", "", "directory of plaintext documents to index")
 		synthetic = flag.Int("synthetic", 0, "generate N synthetic documents instead of -docs")
 		levels    = flag.String("levels", "1", "comma-separated ranking thresholds (η levels)")
@@ -50,6 +56,10 @@ func main() {
 	)
 	d.Parse()
 	logger := d.Logger
+	topo, err := cluster.ParseTargets(*cloud)
+	if err != nil {
+		d.Exitf(2, "%v", err)
+	}
 
 	p := core.DefaultParams()
 	lv, err := cliutil.ParseLevels(*levels)
@@ -106,10 +116,10 @@ func main() {
 		items = append(items, service.UploadItem{Index: indices[i], Doc: enc})
 	}
 	if len(items) > 0 {
-		if err := service.UploadAll(*cloud, items); err != nil {
+		if err := service.UploadAllCluster(topo, items); err != nil {
 			d.Exitf(1, "upload: %v", err)
 		}
-		logger.Info("uploaded documents", "documents", len(items), "cloud", *cloud)
+		logger.Info("uploaded documents", "documents", len(items), "cloud", topo.String())
 	}
 	saveState := func() error {
 		if *state == "" {

@@ -61,7 +61,7 @@
 // scatter-gather deployment (internal/cluster): "-partition i/P" declares
 // that this server owns the documents the doc-ID hash map assigns to index
 // i out of P partitions. The identity is reported to coordinators through
-// the cluster-info verb — a fat client (mkse-client -cluster) verifies
+// the cluster-info verb — a fat client (mkse-client -cloud) verifies
 // every address in its topology at dial time — and enforced on mutations:
 // uploads and deletions for documents another partition owns are rejected
 // with the wrong-partition error code, so a misconfigured coordinator

@@ -102,8 +102,9 @@
 //
 // There is one client path: a single cloud daemon is a one-partition
 // cluster, so Dial(user, owner, cloud) builds that topology and returns
-// exactly what DialCluster returns (mkse-client -cloud is a one-partition
-// -cluster, and prints the same scatter → partition → attempt trace tree).
+// exactly what DialCluster returns (mkse-client -cloud with a bare address
+// is a one-partition topology, and prints the same scatter → partition →
+// attempt trace tree).
 // The client is three layers: a transport (one lazily redialed,
 // deadline-bounded endpoint per daemon), a router (partition map, one
 // per-partition read routine, one mutate routine, scatter/merge) and a
@@ -174,8 +175,9 @@
 // check, and the steady-state scan path stays allocation-free with metrics
 // enabled. Exported series cover per-verb request latency and errors, arena
 // scan durations, WAL append/fsync/checkpoint latency, replication lag per
-// follower, cache counters and failover activity; mkse-client stats -json
-// emits the same series names over the wire protocol. All daemons log
+// follower, cache counters and failover activity; mkse-client stats and
+// stats -json print the cloud daemon's state series with the same names
+// and values over the wire protocol, from the one table /metrics uses. All daemons log
 // structured log/slog records (text or JSON) with a -slow-query WARN
 // threshold, and every binary reports its build stamp via -version
 // (internal/cliutil) and the mkse_build_info series. Each layer has one

@@ -355,10 +355,7 @@ func Fig4a(sizes []int, seed int64) (*Fig4aResult, error) {
 			return nil, err
 		}
 		for _, n := range sizes {
-			docs, err := corpus.Generate(corpus.Config{
-				NumDocs: n, KeywordsPerDoc: 20, Dictionary: dict,
-				MaxTermFreq: 15, Seed: seed,
-			})
+			docs, err := fig4aCorpus(dict, n, seed)
 			if err != nil {
 				return nil, err
 			}
@@ -372,6 +369,14 @@ func Fig4a(sizes []int, seed int64) (*Fig4aResult, error) {
 		}
 	}
 	return res, nil
+}
+
+// fig4aCorpus is the corpus of one Figure 4(a) point.
+func fig4aCorpus(dict []string, n int, seed int64) ([]*corpus.Document, error) {
+	return corpus.Generate(corpus.Config{
+		NumDocs: n, KeywordsPerDoc: 20, Dictionary: dict,
+		MaxTermFreq: 15, Seed: seed,
+	})
 }
 
 // Format renders Figure 4(a).

@@ -4,6 +4,10 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"mkse/internal/corpus"
+	"mkse/internal/costs"
+	"mkse/internal/rank"
 )
 
 // Figure 2(a): with V=30 of U=60 random keywords, the same-query and
@@ -129,11 +133,37 @@ func TestFig4aShape(t *testing.T) {
 	// Ranking overhead: with per-keyword HMACs computed once and shared
 	// across levels, extra levels only add cheap AND folds, so η=5 is a few
 	// percent slower at most (the paper's Java, recomputing per level, shows
-	// a larger but still modest gap). Assert it is not *faster* beyond
-	// timer noise.
-	if float64(res.Elapsed(800, 5)) < 0.85*float64(res.Elapsed(800, 1)) {
-		t.Errorf("5-level ranking measurably faster than no ranking: %v vs %v",
-			res.Elapsed(800, 5), res.Elapsed(800, 1))
+	// a larger but still modest gap). Two wall-clock samples cannot show a
+	// few percent on a shared host, so assert the mechanism on the owner's
+	// operation counts at each point: the same HMACs at every η, and no
+	// fewer folds as η grows.
+	dict := corpus.Dictionary(4000)
+	for _, n := range sizes {
+		docs, err := fig4aCorpus(dict, n, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var prev costs.Snapshot
+		for i, eta := range []int{1, 3, 5} {
+			owner, err := newExperimentOwner(rank.DefaultLevels(eta, 15), 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			before := owner.Costs.Snapshot()
+			for _, d := range docs {
+				if _, err := owner.BuildIndex(d); err != nil {
+					t.Fatal(err)
+				}
+			}
+			c := owner.Costs.Snapshot().Sub(before)
+			if i > 0 && c.HashOps != prev.HashOps {
+				t.Errorf("n=%d: η=%d computes %d keyword HMACs, the level below %d; levels must share them", n, eta, c.HashOps, prev.HashOps)
+			}
+			if c.BitwiseProducts < prev.BitwiseProducts {
+				t.Errorf("n=%d: η=%d folds %d products, fewer than the level below (%d)", n, eta, c.BitwiseProducts, prev.BitwiseProducts)
+			}
+			prev = c
+		}
 	}
 	if out := res.Format(); !strings.Contains(out, "Figure 4(a)") {
 		t.Error("Format output malformed")

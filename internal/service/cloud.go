@@ -203,7 +203,7 @@ func (s *CloudService) dispatch(ctx context.Context, pc *protocol.Conn, conn net
 	case VerbFetch:
 		return s.handleFetch(m.FetchReq)
 	case VerbStats:
-		return s.handleStats()
+		return &protocol.Message{StatsResp: s.stats()}
 	case VerbReplicaSubscribe:
 		// Takes over the connection for the stream's lifetime; a nil
 		// return tells serveLoop the conversation is over. The stream
@@ -567,11 +567,13 @@ func (s *CloudService) SearchBatchWireCtx(ctx context.Context, req *protocol.Sea
 	return &protocol.SearchBatchResponse{Results: out}, nil
 }
 
-// handleStats reports the daemon's operational counters: store size and
-// layout, mutation epoch, log position and term (with replication lag on a
+// stats reads the daemon's operational state: store size and layout,
+// mutation epoch, log position and term (with replication lag on a
 // follower, and the acknowledged position of every connected follower on a
-// primary), and the query-result cache counters.
-func (s *CloudService) handleStats() *protocol.Message {
+// primary), and the query-result cache counters. It is the one reader of
+// that state: the Stats verb replies with it, and every state series on
+// /metrics is a row over it (statsRows).
+func (s *CloudService) stats() *protocol.StatsResponse {
 	resp := &protocol.StatsResponse{
 		NumDocuments: s.Server.NumDocuments(),
 		NumShards:    s.Server.NumShards(),
@@ -611,7 +613,7 @@ func (s *CloudService) handleStats() *protocol.Message {
 			MaxBytes:      cs.MaxBytes,
 		}
 	}
-	return &protocol.Message{StatsResp: resp}
+	return resp
 }
 
 func (s *CloudService) handleFetch(req *protocol.FetchRequest) *protocol.Message {

@@ -2,7 +2,10 @@ package service
 
 import (
 	"context"
+	"fmt"
+	"io"
 	"slices"
+	"strconv"
 	"sync"
 	"time"
 
@@ -64,9 +67,10 @@ func verbOf(m *protocol.Message) string {
 	}
 }
 
-// Series names exported by the cloud daemon. mkse-client's `stats -json`
-// emits the Stats verb's reply keyed by the same names (StatsJSON), so a
-// scrape of /metrics and a stats call agree on vocabulary.
+// Series names exported by the cloud daemon. The state series — those the
+// Stats reply carries — are mapped from it in one place, statsRows, which
+// /metrics, `mkse-client stats -json` (StatsJSON) and `mkse-client stats`
+// (WriteStats) all render: a scrape and a stats call cannot disagree.
 const (
 	SeriesRequestDuration  = "mkse_request_duration_seconds"
 	SeriesRequestsInFlight = "mkse_requests_in_flight"
@@ -155,11 +159,11 @@ func (m *ServiceMetrics) observe(verb string, d time.Duration, isErr bool, trace
 
 // EnableMetrics registers the cloud service's full series inventory on reg
 // and wires the returned instruments into the request path (s.Metrics) and
-// the core server's scan hook (observeScans). Store/cache/WAL
-// totals another subsystem already tracks are exported as scrape-time
-// functions rather than double-counted; series with dynamic label sets
-// (per-follower lag, the current role) are scrape-time collectors. Call it
-// once, before Serve.
+// the core server's scan hook (observeScans). The state series are not
+// counted twice: each row of statsRows is a scrape-time collector over
+// s.stats(), the reader the Stats verb replies with. A row that needs a
+// cache or a WAL the daemon lacks is not registered. Call it once, before
+// Serve.
 func (s *CloudService) EnableMetrics(reg *telemetry.Registry) *ServiceMetrics {
 	m := &ServiceMetrics{verbs: make(map[string]*verbMetrics, len(verbs)+1)}
 	m.inflight = reg.Gauge(SeriesRequestsInFlight, "Requests currently being served.")
@@ -195,78 +199,24 @@ func (s *CloudService) EnableMetrics(reg *telemetry.Registry) *ServiceMetrics {
 	m.scan = reg.Histogram(SeriesScanDuration,
 		"Arena scan duration per search or batch search.", telemetry.RequestBuckets())
 
-	reg.GaugeFunc(SeriesDocuments, "Documents in the store.",
-		func() float64 { return float64(s.Server.NumDocuments()) })
-	reg.GaugeFunc(SeriesShards, "Arena shards in the store.",
-		func() float64 { return float64(s.Server.NumShards()) })
-	reg.GaugeFunc(SeriesEpoch, "Mutation epoch (monotonic; feeds cache invalidation).",
-		func() float64 { return float64(s.Server.Epoch()) })
-
-	if c := s.Cache; c != nil {
-		reg.CounterFunc(SeriesQCacheHits, "Query-result cache hits.",
-			func() float64 { return float64(c.Stats().Hits) })
-		reg.CounterFunc(SeriesQCacheMisses, "Query-result cache misses.",
-			func() float64 { return float64(c.Stats().Misses) })
-		reg.CounterFunc(SeriesQCacheEvictions, "Query-result cache size evictions.",
-			func() float64 { return float64(c.Stats().Evictions) })
-		reg.CounterFunc(SeriesQCacheInvalid, "Query-result cache epoch invalidations.",
-			func() float64 { return float64(c.Stats().Invalidations) })
-		reg.GaugeFunc(SeriesQCacheEntries, "Query-result cache live entries.",
-			func() float64 { return float64(c.Stats().Entries) })
-		reg.GaugeFunc(SeriesQCacheBytes, "Query-result cache resident bytes.",
-			func() float64 { return float64(c.Stats().Bytes) })
-		reg.GaugeFunc(SeriesQCacheMaxBytes, "Query-result cache byte budget.",
-			func() float64 { return float64(c.Stats().MaxBytes) })
+	// The state series, one scrape-time collector per row over s.stats().
+	// mkse_role is not in the Stats reply; it keeps its place in the
+	// exposition, between the log and the replication families.
+	now := StatsJSON(s.stats())
+	for _, row := range statsRows {
+		if row.name == SeriesReplicaConnected {
+			reg.Collect(SeriesRole, "Current role (the labelled series is 1).", telemetry.KindGauge,
+				func(emit func([]telemetry.Label, float64)) {
+					emit([]telemetry.Label{{Key: "role", Value: s.roleName()}}, 1)
+				})
+		}
+		if _, applies := now[row.name]; row.fixed && !applies {
+			continue
+		}
+		reg.Collect(row.name, row.help, row.kind, func(emit func([]telemetry.Label, float64)) {
+			row.samples(s.stats(), emit)
+		})
 	}
-
-	if wal := s.WAL; wal != nil {
-		reg.GaugeFunc(SeriesWALPosition, "Write-ahead log position (log sequence number).",
-			func() float64 { return float64(wal.Position()) })
-		reg.GaugeFunc(SeriesTerm, "Promotion (fencing) term.",
-			func() float64 { return float64(wal.Term()) })
-	}
-
-	// Role and replication series have dynamic labels or appear and
-	// disappear with role changes (a Promote swaps the Replica out at
-	// runtime), so they are collected at scrape time.
-	reg.Collect(SeriesRole, "Current role (the labelled series is 1).", telemetry.KindGauge,
-		func(emit func([]telemetry.Label, float64)) {
-			emit([]telemetry.Label{{Key: "role", Value: s.roleName()}}, 1)
-		})
-	reg.Collect(SeriesReplicaConnected, "1 while the follower's replication stream is established.",
-		telemetry.KindGauge, func(emit func([]telemetry.Label, float64)) {
-			if r := s.replica(); r != nil {
-				v := 0.0
-				if r.Status().Connected {
-					v = 1
-				}
-				emit(nil, v)
-			}
-		})
-	reg.Collect(SeriesReplicaLag, "Follower's replication lag in records.",
-		telemetry.KindGauge, func(emit func([]telemetry.Label, float64)) {
-			if r := s.replica(); r != nil {
-				st := r.Status()
-				emit(nil, float64(st.PrimaryPosition-st.Position))
-			}
-		})
-	reg.Collect(SeriesFollowerLag, "Per-follower replication lag in records, from the primary's view.",
-		telemetry.KindGauge, func(emit func([]telemetry.Label, float64)) {
-			wal := s.WAL
-			if wal == nil {
-				return
-			}
-			pos := wal.Position()
-			s.replMu.Lock()
-			defer s.replMu.Unlock()
-			for f := range s.followers {
-				lag := float64(0)
-				if acked := f.acked.Load(); pos > acked {
-					lag = float64(pos - acked)
-				}
-				emit([]telemetry.Label{{Key: "follower", Value: f.addr}}, lag)
-			}
-		})
 
 	s.Metrics = m
 	s.observeScans()
@@ -343,41 +293,126 @@ func (s *CloudService) Health(maxLag uint64) telemetry.Health {
 	return h
 }
 
-// StatsJSON renders a Stats reply keyed by the Prometheus series names
-// above — the `mkse-client stats -json` payload, machine-parseable with the
-// same vocabulary a /metrics scrape uses. Series that do not apply to the
-// daemon's configuration (no cache, no WAL, not a replica) are omitted,
-// mirroring their absence from that daemon's exposition.
+// statsRow maps a Stats reply (CloudService.stats) to one state series.
+// statsRows is the only such mapping.
+type statsRow struct {
+	name, help string
+	kind       telemetry.Kind
+	// fixed marks a row that needs configuration set before EnableMetrics
+	// and never changed (a cache, a WAL): it is registered only if it
+	// applies then. Any other row follows the role, which a promotion
+	// changes at runtime, so it is always registered.
+	fixed   bool
+	samples sampler
+}
+
+// A sampler emits a row's samples for a Stats reply: one unlabelled
+// sample, or one per follower under a single label, its address. A row
+// that emits none does not apply to the daemon.
+type sampler func(st *protocol.StatsResponse, emit func(labels []telemetry.Label, v float64))
+
+// one is the sampler of a row with one unlabelled sample, read by value,
+// that applies to the daemons whose reply satisfies when (nil: all).
+func one(when func(*protocol.StatsResponse) bool, value func(*protocol.StatsResponse) float64) sampler {
+	return func(st *protocol.StatsResponse, emit func([]telemetry.Label, float64)) {
+		if when == nil || when(st) {
+			emit(nil, value(st))
+		}
+	}
+}
+
+func cached(st *protocol.StatsResponse) bool    { return st.Cache.Enabled }
+func logged(st *protocol.StatsResponse) bool    { return st.Durable }
+func following(st *protocol.StatsResponse) bool { return st.Replica }
+
+// lag is how many records a log at acked trails one at position.
+func lag(position, acked uint64) float64 {
+	if acked >= position {
+		return 0
+	}
+	return float64(position - acked)
+}
+
+var statsRows = []statsRow{
+	{name: SeriesDocuments, help: "Documents in the store.", kind: telemetry.KindGauge,
+		samples: one(nil, func(st *protocol.StatsResponse) float64 { return float64(st.NumDocuments) })},
+	{name: SeriesShards, help: "Arena shards in the store.", kind: telemetry.KindGauge,
+		samples: one(nil, func(st *protocol.StatsResponse) float64 { return float64(st.NumShards) })},
+	{name: SeriesEpoch, help: "Mutation epoch (monotonic; feeds cache invalidation).", kind: telemetry.KindGauge,
+		samples: one(nil, func(st *protocol.StatsResponse) float64 { return float64(st.Epoch) })},
+
+	{name: SeriesQCacheHits, help: "Query-result cache hits.", kind: telemetry.KindCounter, fixed: true,
+		samples: one(cached, func(st *protocol.StatsResponse) float64 { return float64(st.Cache.Hits) })},
+	{name: SeriesQCacheMisses, help: "Query-result cache misses.", kind: telemetry.KindCounter, fixed: true,
+		samples: one(cached, func(st *protocol.StatsResponse) float64 { return float64(st.Cache.Misses) })},
+	{name: SeriesQCacheEvictions, help: "Query-result cache size evictions.", kind: telemetry.KindCounter, fixed: true,
+		samples: one(cached, func(st *protocol.StatsResponse) float64 { return float64(st.Cache.Evictions) })},
+	{name: SeriesQCacheInvalid, help: "Query-result cache epoch invalidations.", kind: telemetry.KindCounter, fixed: true,
+		samples: one(cached, func(st *protocol.StatsResponse) float64 { return float64(st.Cache.Invalidations) })},
+	{name: SeriesQCacheEntries, help: "Query-result cache live entries.", kind: telemetry.KindGauge, fixed: true,
+		samples: one(cached, func(st *protocol.StatsResponse) float64 { return float64(st.Cache.Entries) })},
+	{name: SeriesQCacheBytes, help: "Query-result cache resident bytes.", kind: telemetry.KindGauge, fixed: true,
+		samples: one(cached, func(st *protocol.StatsResponse) float64 { return float64(st.Cache.Bytes) })},
+	{name: SeriesQCacheMaxBytes, help: "Query-result cache byte budget.", kind: telemetry.KindGauge, fixed: true,
+		samples: one(cached, func(st *protocol.StatsResponse) float64 { return float64(st.Cache.MaxBytes) })},
+
+	{name: SeriesWALPosition, help: "Write-ahead log position (log sequence number).", kind: telemetry.KindGauge, fixed: true,
+		samples: one(logged, func(st *protocol.StatsResponse) float64 { return float64(st.WALPosition) })},
+	{name: SeriesTerm, help: "Promotion (fencing) term.", kind: telemetry.KindGauge, fixed: true,
+		samples: one(logged, func(st *protocol.StatsResponse) float64 { return float64(st.Term) })},
+
+	{name: SeriesReplicaConnected, help: "1 while the follower's replication stream is established.", kind: telemetry.KindGauge,
+		samples: one(following, func(st *protocol.StatsResponse) float64 {
+			if st.ReplicaConnected {
+				return 1
+			}
+			return 0
+		})},
+	{name: SeriesReplicaLag, help: "Follower's replication lag in records.", kind: telemetry.KindGauge,
+		samples: one(following, func(st *protocol.StatsResponse) float64 { return lag(st.PrimaryPosition, st.WALPosition) })},
+	{name: SeriesFollowerLag, help: "Per-follower replication lag in records, from the primary's view.", kind: telemetry.KindGauge,
+		samples: func(st *protocol.StatsResponse, emit func([]telemetry.Label, float64)) {
+			for _, f := range st.Followers {
+				emit([]telemetry.Label{{Key: "follower", Value: f.Addr}}, lag(st.WALPosition, f.Acked))
+			}
+		}},
+}
+
+// StatsJSON renders a Stats reply as the rows of statsRows — the `mkse-client
+// stats -json` payload, keyed by the series names a /metrics scrape of the
+// same daemon exposes, with the same values. The per-follower row is an
+// object keyed by follower address. Rows that do not apply to the daemon
+// (no cache, no WAL, not a replica, no follower) are omitted.
 func StatsJSON(st *protocol.StatsResponse) map[string]any {
-	out := map[string]any{
-		SeriesDocuments: st.NumDocuments,
-		SeriesShards:    st.NumShards,
-		SeriesEpoch:     st.Epoch,
-	}
-	if st.Durable || st.Replica {
-		out[SeriesWALPosition] = st.WALPosition
-		out[SeriesTerm] = st.Term
-	}
-	if st.Replica {
-		connected := 0
-		if st.ReplicaConnected {
-			connected = 1
-		}
-		out[SeriesReplicaConnected] = connected
-		lag := uint64(0)
-		if st.PrimaryPosition > st.WALPosition {
-			lag = st.PrimaryPosition - st.WALPosition
-		}
-		out[SeriesReplicaLag] = lag
-	}
-	if st.Cache.Enabled {
-		out[SeriesQCacheHits] = st.Cache.Hits
-		out[SeriesQCacheMisses] = st.Cache.Misses
-		out[SeriesQCacheEvictions] = st.Cache.Evictions
-		out[SeriesQCacheInvalid] = st.Cache.Invalidations
-		out[SeriesQCacheEntries] = st.Cache.Entries
-		out[SeriesQCacheBytes] = st.Cache.Bytes
-		out[SeriesQCacheMaxBytes] = st.Cache.MaxBytes
+	out := map[string]any{}
+	for _, row := range statsRows {
+		row.samples(st, func(labels []telemetry.Label, v float64) {
+			if len(labels) == 0 {
+				out[row.name] = v
+				return
+			}
+			byLabel, _ := out[row.name].(map[string]float64)
+			if byLabel == nil {
+				byLabel = map[string]float64{}
+				out[row.name] = byLabel
+			}
+			byLabel[labels[0].Value] = v
+		})
 	}
 	return out
+}
+
+// WriteStats writes a Stats reply as the rows of statsRows, one sample per
+// line in exposition syntax (`mkse_documents 300`), in the order a /metrics
+// scrape lists them — the text `mkse-client stats` prints.
+func WriteStats(w io.Writer, st *protocol.StatsResponse) {
+	for _, row := range statsRows {
+		row.samples(st, func(labels []telemetry.Label, v float64) {
+			name := row.name
+			if len(labels) > 0 {
+				name += fmt.Sprintf("{%s=%q}", labels[0].Key, labels[0].Value)
+			}
+			fmt.Fprintf(w, "%s %s\n", name, strconv.FormatFloat(v, 'f', -1, 64))
+		})
+	}
 }

@@ -335,13 +335,13 @@ func TestStatsJSONKeys(t *testing.T) {
 	st.Cache.Enabled = true
 	st.Cache.Hits = 5
 	got = StatsJSON(st)
-	if got[SeriesWALPosition] != uint64(42) || got[SeriesTerm] != uint64(3) {
+	if got[SeriesWALPosition] != 42.0 || got[SeriesTerm] != 3.0 {
 		t.Errorf("durable series wrong: %v", got)
 	}
-	if got[SeriesReplicaLag] != uint64(2) || got[SeriesReplicaConnected] != 1 {
+	if got[SeriesReplicaLag] != 2.0 || got[SeriesReplicaConnected] != 1.0 {
 		t.Errorf("replica series wrong: %v", got)
 	}
-	if got[SeriesQCacheHits] != uint64(5) {
+	if got[SeriesQCacheHits] != 5.0 {
 		t.Errorf("cache series wrong: %v", got)
 	}
 }

@@ -70,7 +70,7 @@ type (
 )
 
 // ParseClusterTargets parses the "primary[/replica...],..." topology syntax
-// of the -cluster flag.
+// of the daemons' -cloud flag.
 func ParseClusterTargets(s string) (ClusterConfig, error) { return cluster.ParseTargets(s) }
 
 // DialCluster connects a new user to the owner daemon and every partition
