@@ -65,7 +65,7 @@
 // # Replication
 //
 // Search traffic scales horizontally with WAL-shipping read replicas. A
-// follower daemon (mkse-server -replica-of, or service.StartReplica over a
+// follower daemon (mkse server -replica-of, or service.StartReplica over a
 // durable engine) subscribes to a primary from its own log position; the
 // primary bootstraps it from the newest checkpoint when the requested
 // records have been pruned, then streams write-ahead-log record batches as
@@ -86,7 +86,7 @@
 // assigns every document to exactly one partition — stateless, so owner,
 // client and servers all compute the same assignment with no coordination
 // — and each partition is an ordinary single-node deployment underneath
-// (own WAL, checkpoints, followers). mkse-server -partition i/P stamps a
+// (own WAL, checkpoints, followers). mkse server -partition i/P stamps a
 // daemon with its slot; primaries reject mutations for documents another
 // partition owns. The client verifies each server's reported identity at
 // dial time, routes Delete/Retrieve to the owning partition, and fans
@@ -102,7 +102,7 @@
 //
 // There is one client path: a single cloud daemon is a one-partition
 // cluster, so Dial(user, owner, cloud) builds that topology and returns
-// exactly what DialCluster returns (mkse-client -cloud with a bare address
+// exactly what DialCluster returns (mkse client -cloud with a bare address
 // is a one-partition topology, and prints the same scatter → partition →
 // attempt trace tree).
 // The client is three layers: a transport (one lazily redialed,
@@ -129,7 +129,7 @@
 // term, accept writes. A deposed primary is fenced read-only by the first
 // peer that presents a higher term, and a rejoining node whose log
 // diverged past the new term's start is wiped by a checkpoint bootstrap
-// instead of forking the history. The mkse-observer daemon
+// instead of forking the history. The mkse observer daemon
 // (internal/observer) automates the loop: it health-probes the primary,
 // elects the lowest-lag reachable follower after a threshold of
 // consecutive failures, promotes it, and repoints the survivors via a
@@ -141,7 +141,7 @@
 // # Query-result caching
 //
 // The cloud daemon can memoize results
-// (mkse-server -cache-mb, internal/qcache): a sharded, memory-bounded LRU
+// (mkse server -cache-mb, internal/qcache): a sharded, memory-bounded LRU
 // maps a query fingerprint (hash of the wire query vector and τ) to the
 // ranked result it produced. Correctness is enforced by epoch invalidation:
 // the store keeps a mutation epoch bumped by every applied upload and
@@ -157,7 +157,7 @@
 // (ROADMAP item 3). Batches dedupe identical query
 // vectors even with the cache disabled, and followers cache against their
 // own epoch, so replicated applies invalidate naturally. The stats verb
-// (mkse-client stats) reports hit/miss/eviction/invalidation counters. See
+// (mkse client stats) reports hit/miss/eviction/invalidation counters. See
 // bench/README.md (the qcache.* and service.searchwire_hit_us rows) for
 // hit, miss and invalidation costs.
 //
@@ -175,15 +175,15 @@
 // check, and the steady-state scan path stays allocation-free with metrics
 // enabled. Exported series cover per-verb request latency and errors, arena
 // scan durations, WAL append/fsync/checkpoint latency, replication lag per
-// follower, cache counters and failover activity; mkse-client stats and
-// stats -json print the cloud daemon's state series with the same names
+// follower, cache counters and failover activity; mkse client stats and
+// -json stats print the cloud daemon's state series with the same names
 // and values over the wire protocol, from the one table /metrics uses. All daemons log
 // structured log/slog records (text or JSON) with a -slow-query WARN
-// threshold, and every binary reports its build stamp via -version
-// (internal/cliutil) and the mkse_build_info series. Each layer has one
-// instrumentation mechanism: one scan hook in core, one request seam both
-// services serve through, one daemon scaffold (internal/cliutil) the three
-// daemons share, and one stopwatch (trace.StartTimer) that feeds a timed
+// threshold, and the binary reports its build stamp via mkse version and
+// the mkse_build_info series. Each layer has one instrumentation
+// mechanism: one scan hook in core, one request seam both services serve
+// through, one daemon scaffold (cmd/mkse/daemon.go) the three daemons
+// share, and one stopwatch (trace.StartTimer) that feeds a timed
 // stage's span and histogram together. See README.md ("Observability") for the full series table.
 //
 // # Distributed tracing
@@ -200,7 +200,7 @@
 // Sampling is head-based (-trace-sample, with slow queries captured even
 // when unsampled), a propagated sampled context is always honored, and
 // with tracing disabled the scan path stays allocation-free. The
-// mkse-client trace subcommand runs a forced-sample search and
+// mkse client trace verb runs a forced-sample search and
 // pretty-prints the assembled tree; see ARCHITECTURE.md ("Tracing").
 //
 // # Package layout
@@ -236,7 +236,9 @@
 //	matches, _ := sys.Search(alice, []string{"cloud", "revenue"}, 10)
 //	plaintext, _ := sys.Retrieve(alice, matches[0].DocID)
 //
-// The cmd/ directory ships the three daemons (mkse-owner, mkse-server,
-// mkse-client) and the experiment driver (mkse-bench) that regenerates
-// every table and figure of the paper's evaluation; see EXPERIMENTS.md.
+// cmd/mkse is the one binary. Its subcommands are the two daemons of
+// Figure 1 (mkse owner, mkse server), the user CLI (mkse client), the
+// failover daemon (mkse observer) and the experiment driver (mkse bench),
+// which regenerates every table and figure of the paper's evaluation; see
+// EXPERIMENTS.md.
 package mkse

@@ -4,11 +4,11 @@
 // corpus; two independent users enroll, search and retrieve concurrently.
 //
 // In production the three roles run as separate processes on separate
-// machines — see cmd/mkse-owner, cmd/mkse-server and cmd/mkse-client, which
+// machines — see the owner, server and client subcommands of cmd/mkse, which
 // expose exactly this flow behind flags, plus what a demo omits: crash-safe
-// persistence (mkse-server -data, with an -fsync durability policy),
-// document removal (mkse-client delete), and WAL-shipping read replicas
-// (mkse-server -replica-of; see examples/replication).
+// persistence (mkse server -data, with an -fsync durability policy),
+// document removal (mkse client delete), and WAL-shipping read replicas
+// (mkse server -replica-of; see examples/replication).
 package main
 
 import (

@@ -8,10 +8,10 @@
 //
 // In production the daemons run as separate processes:
 //
-//	mkse-server -listen :7002 -partition 0/2   # partition 0
-//	mkse-server -listen :7003 -partition 1/2   # partition 1
-//	mkse-owner  -listen :7001 -cloud host:7002,host:7003 -docs ./corpus
-//	mkse-client -cloud host:7002,host:7003 search encrypted cloud
+//	mkse server -listen :7002 -partition 0/2   # partition 0
+//	mkse server -listen :7003 -partition 1/2   # partition 1
+//	mkse owner  -listen :7001 -cloud host:7002,host:7003 -docs ./corpus
+//	mkse client -cloud host:7002,host:7003 search encrypted cloud
 package main
 
 import (

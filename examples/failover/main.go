@@ -7,10 +7,10 @@
 //
 // In production the daemons run as separate processes:
 //
-//	mkse-server   -listen :7002 -data /var/lib/mkse                         # primary
-//	mkse-server   -listen :7003 -data /var/lib/mkse-r1 -replica-of h:7002   # follower
-//	mkse-server   -listen :7004 -data /var/lib/mkse-r2 -replica-of h:7002   # follower
-//	mkse-observer -primary h:7002 -replicas h:7003,h:7004                   # failover
+//	mkse server   -listen :7002 -data /var/lib/mkse                         # primary
+//	mkse server   -listen :7003 -data /var/lib/mkse-r1 -replica-of h:7002   # follower
+//	mkse server   -listen :7004 -data /var/lib/mkse-r2 -replica-of h:7002   # follower
+//	mkse observer -cloud h:7002/h:7003/h:7004                               # failover
 package main
 
 import (
@@ -76,7 +76,7 @@ func main() {
 	ownerL, ownerAddr := listen()
 	go func() { _ = ownerSvc.Serve(ownerL) }()
 
-	// --- Two followers, wired exactly like `mkse-server -replica-of` -------
+	// --- Two followers, wired exactly like `mkse server -replica-of` -------
 	var followerAddrs []string
 	var followers []*durable.Engine
 	var followerSvcs []*service.CloudService

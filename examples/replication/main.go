@@ -6,9 +6,9 @@
 //
 // In production the daemons run as separate processes:
 //
-//	mkse-server -listen :7002 -data /var/lib/mkse                       # primary
-//	mkse-server -listen :7003 -data /var/lib/mkse-r1 -replica-of h:7002 # follower
-//	mkse-client -cloud ... search encrypted cloud                       # reads
+//	mkse server -listen :7002 -data /var/lib/mkse                       # primary
+//	mkse server -listen :7003 -data /var/lib/mkse-r1 -replica-of h:7002 # follower
+//	mkse client -cloud ... search encrypted cloud                       # reads
 //
 // A follower rejects writes, reports its lag to read balancers, and can be
 // promoted by restarting it without -replica-of.

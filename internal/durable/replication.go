@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -317,7 +318,10 @@ func (e *Engine) ResetToCheckpoint(data []byte, lsn uint64) error {
 	// point, Open finds it, skips every older segment (all their records are
 	// below lsn) and recovers at exactly lsn.
 	path := filepath.Join(e.dir, ckptName(lsn))
-	if err := writeFileSync(path, data); err != nil {
+	if err := store.WriteFileSync(path, 0o666, func(w io.Writer) error {
+		_, err := w.Write(data)
+		return err
+	}); err != nil {
 		return fmt.Errorf("durable: installing bootstrap checkpoint: %w", err)
 	}
 	if err := syncDir(e.dir); err != nil {
@@ -377,28 +381,4 @@ func (e *Engine) ResetToCheckpoint(data []byte, lsn uint64) error {
 	}
 	logf(e.opts.Logger, "durable: bootstrapped from primary checkpoint at position %d (%d documents)", lsn, e.srv.NumDocuments())
 	return nil
-}
-
-// writeFileSync writes data to path atomically: temp file, fsync, rename.
-func writeFileSync(path string, data []byte) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return os.Rename(tmp, path)
 }

@@ -1,7 +1,7 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (Örencik & Savaş, Sections 5, 6 and 8). Each experiment is a
 // pure function returning a structured result plus a formatter, so the same
-// code backs the mkse-bench command, the testing.B benchmarks and the
+// code backs the mkse bench command, the testing.B benchmarks and the
 // regression tests that pin the paper's qualitative claims.
 //
 // The experiment ↔ paper mapping (DESIGN.md §3):

@@ -200,7 +200,7 @@ func sortedKeys(m map[string]bool) []string {
 
 // Tick runs one probe cycle: check the primary, escalate to failover after
 // FailAfter consecutive failures, and retry any pending repoints and
-// demotions while healthy. Exported so `mkse-observer -oneshot` and tests
+// demotions while healthy. Exported so `mkse observer -oneshot` and tests
 // can drive the observer without the ticker.
 func (o *Observer) Tick() {
 	o.mu.Lock()

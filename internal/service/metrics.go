@@ -69,7 +69,7 @@ func verbOf(m *protocol.Message) string {
 
 // Series names exported by the cloud daemon. The state series — those the
 // Stats reply carries — are mapped from it in one place, statsRows, which
-// /metrics, `mkse-client stats -json` (StatsJSON) and `mkse-client stats`
+// /metrics, `mkse client -json stats` (StatsJSON) and `mkse client stats`
 // (WriteStats) all render: a scrape and a stats call cannot disagree.
 const (
 	SeriesRequestDuration  = "mkse_request_duration_seconds"
@@ -378,8 +378,8 @@ var statsRows = []statsRow{
 		}},
 }
 
-// StatsJSON renders a Stats reply as the rows of statsRows — the `mkse-client
-// stats -json` payload, keyed by the series names a /metrics scrape of the
+// StatsJSON renders a Stats reply as the rows of statsRows — the `mkse client
+// -json stats` payload, keyed by the series names a /metrics scrape of the
 // same daemon exposes, with the same values. The per-follower row is an
 // object keyed by follower address. Rows that do not apply to the daemon
 // (no cache, no WAL, not a replica, no follower) are omitted.
@@ -404,7 +404,7 @@ func StatsJSON(st *protocol.StatsResponse) map[string]any {
 
 // WriteStats writes a Stats reply as the rows of statsRows, one sample per
 // line in exposition syntax (`mkse_documents 300`), in the order a /metrics
-// scrape lists them — the text `mkse-client stats` prints.
+// scrape lists them — the text `mkse client stats` prints.
 func WriteStats(w io.Writer, st *protocol.StatsResponse) {
 	for _, row := range statsRows {
 		row.samples(st, func(labels []telemetry.Label, v float64) {

@@ -145,7 +145,7 @@ func startReplFollower(t testing.TB, p core.Params, dir, primaryAddr string) *re
 		t.Fatal(err)
 	}
 	rep := StartReplica(eng, primaryAddr, nil)
-	// Store and Eng mirror what mkse-server wires in durable mode: writes are
+	// Store and Eng mirror what mkse server wires in durable mode: writes are
 	// rejected while the Replica field is set, and a Promote needs both to
 	// flip the daemon to a fully durable primary in place.
 	svc := &CloudService{Server: eng.Server(), Store: eng, WAL: eng, Eng: eng, Replica: rep, HeartbeatEvery: 25 * time.Millisecond}

@@ -17,7 +17,7 @@ import (
 )
 
 // stateSeries are the series a Stats reply carries: the ones a /metrics
-// scrape and `mkse-client stats -json` must report alike.
+// scrape and `mkse client -json stats` must report alike.
 var stateSeries = []string{
 	SeriesDocuments, SeriesShards, SeriesEpoch,
 	SeriesQCacheHits, SeriesQCacheMisses, SeriesQCacheEvictions, SeriesQCacheInvalid,

@@ -44,23 +44,10 @@ func LoadOwner(r io.Reader) (*core.Owner, error) {
 	return core.RestoreOwner(&st)
 }
 
-// SaveOwnerFile writes owner state to path atomically with 0600 permissions.
+// SaveOwnerFile writes owner state to path atomically with 0600
+// permissions (see WriteFileSync).
 func SaveOwnerFile(path string, o *core.Owner) error {
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o600)
-	if err != nil {
-		return err
-	}
-	if err := SaveOwner(f, o); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return os.Rename(tmp, path)
+	return WriteFileSync(path, 0o600, func(w io.Writer) error { return SaveOwner(w, o) })
 }
 
 // LoadOwnerFile reads owner state from path.

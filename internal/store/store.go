@@ -1,6 +1,6 @@
 // Package store persists a cloud server's database — search indices,
 // ciphertexts and wrapped keys — in a versioned binary format, so a
-// mkse-server daemon can restart without the owner re-uploading. The format
+// mkse server daemon can restart without the owner re-uploading. The format
 // stores exactly what the server legitimately holds (Figure 1): nothing in a
 // snapshot lets its holder decrypt or search beyond what the live server
 // could.
@@ -243,27 +243,36 @@ func loadBody(br *bufio.Reader, mk func(core.Params) (*core.Server, error)) (*co
 	return srv, nil
 }
 
-// SaveCheckpointFile writes a V3 checkpoint to path atomically, fsyncing the
-// file before the rename so a crash cannot leave a live checkpoint name
-// pointing at partial data.
+// SaveCheckpointFile writes a V3 checkpoint to path atomically (see
+// WriteFileSync).
 func SaveCheckpointFile(path string, srv Exporter, meta CheckpointMeta) error {
+	return WriteFileSync(path, 0o666, func(w io.Writer) error { return SaveCheckpoint(w, srv, meta) })
+}
+
+// WriteFileSync writes path atomically: write fills a temp file created
+// with mode perm (before umask), which is fsynced and then renamed over
+// path, so a crash cannot leave path naming partial data. On failure the
+// temp file is removed and any previous file at path is left intact.
+func WriteFileSync(path string, perm os.FileMode, write func(io.Writer) error) error {
 	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
+	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, perm)
 	if err != nil {
 		return err
 	}
-	err = SaveCheckpoint(f, srv, meta)
+	err = write(f)
 	if err == nil {
 		err = f.Sync()
 	}
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
 	if err != nil {
 		os.Remove(tmp)
-		return err
 	}
-	return os.Rename(tmp, path)
+	return err
 }
 
 // LoadCheckpointBytes reads a snapshot in any format from an in-memory

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"io"
 	"math/big"
 	"os"
 	"path/filepath"
@@ -317,5 +318,38 @@ func TestLoadBoundsCorruptSizes(t *testing.T) {
 	}
 	if loaded.Params().R != core.MaxR {
 		t.Fatalf("loaded R = %d, want %d", loaded.Params().R, core.MaxR)
+	}
+}
+
+// TestWriteFileSyncFailureKeepsPrevious checks the atomic-write contract
+// every durable file relies on: a write that fails midway leaves the
+// previous file intact and no temp file behind. (That the temp file is
+// fsynced before the rename cannot be observed in-process.)
+func TestWriteFileSyncFailureKeepsPrevious(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "state")
+	write := func(s string) func(w io.Writer) error {
+		return func(w io.Writer) error { _, err := io.WriteString(w, s); return err }
+	}
+	if err := WriteFileSync(path, 0o600, write("previous")); err != nil {
+		t.Fatal(err)
+	}
+	boom := errors.New("disk full")
+	err := WriteFileSync(path, 0o600, func(w io.Writer) error {
+		io.WriteString(w, "partial")
+		return boom
+	})
+	if !errors.Is(err, boom) {
+		t.Fatalf("err = %v, want %v", err, boom)
+	}
+	if got, err := os.ReadFile(path); err != nil || string(got) != "previous" {
+		t.Errorf("after a failed write the file holds %q (%v), want %q", got, err, "previous")
+	}
+	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
+		t.Errorf("temp file left behind (stat err %v)", err)
+	}
+	if fi, err := os.Stat(path); err != nil {
+		t.Error(err)
+	} else if fi.Mode().Perm()&0o077 != 0 {
+		t.Errorf("mode %v: a 0600 file must not be group/other accessible", fi.Mode())
 	}
 }

@@ -114,7 +114,7 @@ func (b *Buffer) SlowHandler() http.Handler {
 }
 
 // FormatTree renders a trace's spans as an indented text tree for
-// terminals (`mkse-client trace`). Spans are nested under their parents,
+// terminals (`mkse client trace`). Spans are nested under their parents,
 // siblings ordered by start time, each line showing service, name,
 // duration, and attributes.
 func FormatTree(spans []Span) string {

@@ -9,7 +9,7 @@
 // # Design
 //
 // Sampling is head-based: the origin decides once (1 in N requests, or
-// forced for `mkse-client trace`) and the decision propagates with the
+// forced for `mkse client trace`) and the decision propagates with the
 // context; servers adopt a sampled context rather than re-deciding, so a
 // trace is never half-recorded. An unsampled request carries no recorder in
 // its context.Context, and every recording call is nil-safe and
@@ -380,7 +380,7 @@ func (t *Tracer) sampleHead() bool {
 }
 
 // StartRequest opens the root span of a locally originated trace if the
-// head sampler fires (or force is set, as `mkse-client trace` does).
+// head sampler fires (or force is set, as `mkse client trace` does).
 // Background work with no originating request — checkpoints, replication
 // applies, observer ticks — opens its root the same way. Returns (ctx, nil)
 // when not sampled.
