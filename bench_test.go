@@ -13,6 +13,7 @@
 package mkse
 
 import (
+	"context"
 	"fmt"
 	"math/big"
 	"testing"
@@ -104,7 +105,7 @@ func BenchmarkSearch(b *testing.B) {
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if _, err := server.Search(q); err != nil {
+					if _, err := server.SearchTop(q, 0); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -213,7 +214,7 @@ func BenchmarkVsCaoSearch(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := server.Search(q); err != nil {
+			if _, err := server.SearchTop(q, 0); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -449,7 +450,7 @@ func BenchmarkSearchBatch(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := server.SearchBatch(batch, 10); err != nil {
+				if _, err := server.SearchBatch(context.Background(), batch, 10); err != nil {
 					b.Fatal(err)
 				}
 			}

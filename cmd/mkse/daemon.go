@@ -67,13 +67,19 @@ func (d *daemon) start() error {
 	return nil
 }
 
-// tracer returns a tracer that names this process svc in its spans and
-// records into the daemon's trace buffer, or nil when tracing is disabled.
+// tracer returns a tracer that names this process svc in its spans. It
+// always exists, so a sampled context propagated by a peer is continued
+// whatever the flags say; -trace-sample 0 only turns off head sampling and
+// the trace buffer.
 func (d *daemon) tracer(svc string) *trace.Tracer {
-	if d.traces == nil {
-		return nil
-	}
 	return trace.New(svc, d.traceSample, d.traces)
+}
+
+// logTracing logs that head sampling is on, with any extra attributes.
+func (d *daemon) logTracing(what string, args ...any) {
+	if d.traces != nil {
+		d.logger.Info(what+" tracing enabled", append([]any{"sample", d.traceSample}, args...)...)
+	}
 }
 
 // startSidecar starts the telemetry sidecar when -metrics-addr is set:

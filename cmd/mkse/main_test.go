@@ -5,15 +5,19 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"net"
 	"os"
 	"path/filepath"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 
 	"mkse/internal/cluster"
 	"mkse/internal/core"
+	"mkse/internal/service"
 	"mkse/internal/store"
+	"mkse/internal/trace"
 )
 
 func TestUsageErrorsExit2(t *testing.T) {
@@ -60,6 +64,85 @@ func TestOwnerRejectsLevelsDisagreeingWithState(t *testing.T) {
 		}
 	case <-time.After(30 * time.Second):
 		t.Fatal("owner started serving despite -levels disagreeing with -state")
+	}
+}
+
+// TestPropagatedTraceHonoredWithoutSampling: daemons started without
+// -trace-sample still continue a sampled context a client propagates, so
+// a forced TraceSearch gets the server's dispatch and scan spans back.
+func TestPropagatedTraceHonoredWithoutSampling(t *testing.T) {
+	cloud, owner := freeAddr(t), freeAddr(t)
+	exits := make(chan int, 2)
+	go func() { exits <- run([]string{"server", "-listen", cloud, "-log-level", "error"}) }()
+	waitListening(t, cloud)
+	go func() {
+		exits <- run([]string{"owner", "-listen", owner, "-cloud", cloud, "-synthetic", "20", "-log-level", "error"})
+	}()
+	waitListening(t, owner)
+	// Both daemons stop on the one SIGTERM, as they would under a process
+	// supervisor; each has its handler installed once it listens.
+	defer func() {
+		if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 2; i++ {
+			select {
+			case code := <-exits:
+				if code != 0 {
+					t.Errorf("daemon exited %d after SIGTERM, want 0", code)
+				}
+			case <-time.After(30 * time.Second):
+				t.Fatal("daemon did not stop on SIGTERM")
+			}
+		}
+	}()
+
+	client, err := service.Dial("trace-no-sample", owner, cloud)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	client.Tracer = trace.New("client", 0, nil)
+	_, spans, err := client.TraceSearch([]string{"kw00001"}, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := map[string]bool{}
+	for _, sp := range spans {
+		names[sp.Name] = true
+	}
+	for _, want := range []string{"client:search", "server:search", "scan"} {
+		if !names[want] {
+			t.Errorf("trace has no %q span:\n%s", want, trace.FormatTree(spans))
+		}
+	}
+}
+
+// freeAddr returns a loopback address no listener holds right now.
+func freeAddr(t *testing.T) string {
+	t.Helper()
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	return l.Addr().String()
+}
+
+// waitListening waits until addr accepts connections.
+func waitListening(t *testing.T, addr string) {
+	t.Helper()
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		c, err := net.Dial("tcp", addr)
+		if err == nil {
+			c.Close()
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%s is not listening: %v", addr, err)
+		}
+		time.Sleep(20 * time.Millisecond)
 	}
 }
 

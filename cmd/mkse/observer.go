@@ -34,10 +34,7 @@ func observerCmd(fs *flag.FlagSet) func() error {
 		}
 		defer d.close()
 		logger := d.logger
-		tracer := d.tracer("observer")
-		if tracer != nil {
-			logger.Info("probe tracing enabled", "sample", d.traceSample)
-		}
+		d.logTracing("probe")
 
 		obs := observer.New(observer.Config{
 			Primary:      watched.Primary,
@@ -46,7 +43,7 @@ func observerCmd(fs *flag.FlagSet) func() error {
 			ProbeTimeout: *probeTimeout,
 			FailAfter:    *failAfter,
 			Logger:       logger,
-			Tracer:       tracer,
+			Tracer:       d.tracer("observer"),
 			OnFailover: func(oldPrimary, newPrimary string, term uint64) {
 				logger.Info("failover complete", "old_primary", oldPrimary, "new_primary", newPrimary, "term", term)
 			},

@@ -112,9 +112,7 @@ func ownerCmd(fs *flag.FlagSet) func() error {
 		}
 
 		svc := &service.OwnerService{Owner: owner, Logger: logger, Tracer: d.tracer("owner")}
-		if svc.Tracer != nil {
-			logger.Info("request tracing enabled", "sample", d.traceSample)
-		}
+		d.logTracing("request")
 		if err := d.startSidecar(func() telemetry.Health { return telemetry.Health{Ready: true, Role: "owner"} }, nil); err != nil {
 			return err
 		}

@@ -118,15 +118,14 @@ func serverCmd(fs *flag.FlagSet) func() error {
 		if svc.Partitions > 0 {
 			name = fmt.Sprintf("cloud-p%d", svc.Partition)
 		}
-		if tr := d.tracer(name); tr != nil {
-			// Logs and /traces/slow agree on what "slow" means.
-			tr.TraceBuffer().SetSlowThreshold(*slowQuery)
-			svc.EnableTracing(tr)
-			if eng != nil {
-				eng.SetTracer(tr)
-			}
-			logger.Info("request tracing enabled", "sample", d.traceSample, "slow_query", *slowQuery)
+		tr := d.tracer(name)
+		// Logs and /traces/slow agree on what "slow" means.
+		tr.TraceBuffer().SetSlowThreshold(*slowQuery)
+		svc.EnableTracing(tr)
+		if eng != nil {
+			eng.SetTracer(tr)
 		}
+		d.logTracing("request", "slow_query", *slowQuery)
 		err = d.startSidecar(func() telemetry.Health { return svc.Health(0) }, func(reg *telemetry.Registry) {
 			svc.EnableMetrics(reg)
 			if eng != nil {

@@ -38,7 +38,11 @@
 // the higher levels' columns. Searches fan out over the shards to
 // persistent shard-affine workers, keep bounded top-τ heaps, and reuse
 // pooled scratch so the steady-state query path is allocation-free;
-// results are byte-identical to the paper's sequential scan. See
+// results are byte-identical to the paper's sequential scan. Every search
+// is a batch: the client sends one SearchBatchRequest per partition (a
+// single search is a batch of one), the daemon answers it with
+// CloudService.SearchBatchWire, and core.Server.SearchBatch scans the store
+// once for all of its queries. See
 // core.Server and ARCHITECTURE.md ("Index arena layouts") for the layout,
 // and bench/README.md for the measurements (workload scan_large runs 400k
 // documents).
@@ -154,9 +158,9 @@
 // subset (paper §4.2), so a hit means a replayed request, and its fast
 // reply tells the server the search pattern the randomization hides. The
 // bench measures a hit ratio of 0; the cache is slated for deletion
-// (ROADMAP item 3). Batches dedupe identical query
-// vectors even with the cache disabled, and followers cache against their
-// own epoch, so replicated applies invalidate naturally. The stats verb
+// (ROADMAP item 6). For the same reason a batch does not dedupe repeated
+// query vectors. Followers cache against their own epoch, so replicated
+// applies invalidate naturally. The stats verb
 // (mkse client stats) reports hit/miss/eviction/invalidation counters. See
 // bench/README.md (the qcache.* and service.searchwire_hit_us rows) for
 // hit, miss and invalidation costs.
@@ -198,7 +202,9 @@
 // tree per sampled search; completed traces land in bounded ring buffers
 // served by the telemetry sidecar as /traces and /traces/slow JSON.
 // Sampling is head-based (-trace-sample, with slow queries captured even
-// when unsampled), a propagated sampled context is always honored, and
+// when unsampled), a propagated sampled context is always honored (every
+// daemon builds its tracer; -trace-sample 0 only turns off head sampling
+// and the trace buffer), and
 // with tracing disabled the scan path stays allocation-free. The
 // mkse client trace verb runs a forced-sample search and
 // pretty-prints the assembled tree; see ARCHITECTURE.md ("Tracing").

@@ -9,6 +9,7 @@ package cluster_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/gob"
 	"fmt"
 	"math/rand"
@@ -157,13 +158,13 @@ func TestScatterGatherByteIdentical(t *testing.T) {
 			}
 
 			// The batch path must merge per-query exactly the same way.
-			wantBatch, err := refSvc.SearchBatchWire(&protocol.SearchBatchRequest{Queries: queries, TopK: tau})
+			wantBatch, err := refSvc.SearchBatchWire(context.Background(), &protocol.SearchBatchRequest{Queries: queries, TopK: tau})
 			if err != nil {
 				t.Fatal(err)
 			}
 			partBatches := make([]*protocol.SearchBatchResponse, partitions)
 			for pi, svc := range svcs {
-				if partBatches[pi], err = svc.SearchBatchWire(&protocol.SearchBatchRequest{Queries: queries, TopK: tau}); err != nil {
+				if partBatches[pi], err = svc.SearchBatchWire(context.Background(), &protocol.SearchBatchRequest{Queries: queries, TopK: tau}); err != nil {
 					t.Fatal(err)
 				}
 			}

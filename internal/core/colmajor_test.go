@@ -104,7 +104,7 @@ func TestExportReturnsUploadedIndex(t *testing.T) {
 	verify := func(step string) {
 		t.Helper()
 		checkExport(t, srv, want)
-		got, err := srv.Search(q)
+		got, err := srv.SearchTop(q, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -307,7 +307,7 @@ func TestConcurrentUploadDeleteSearchColumns(t *testing.T) {
 	}
 
 	checkColumns(t, srv)
-	got, err := srv.Search(q)
+	got, err := srv.SearchTop(q, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,7 +324,7 @@ func TestColumnScanEmptyShards(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := bitindex.NewOnes(o.Params().R)
-	res, err := srv.Search(q)
+	res, err := srv.SearchTop(q, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -337,7 +337,7 @@ func TestEndToEndSearch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	matches, err := server.Search(q)
+	matches, err := server.SearchTop(q, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -407,7 +407,7 @@ func TestRankMatchesPlaintextGroundTruth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	matches, err := server.Search(q)
+	matches, err := server.SearchTop(q, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -515,7 +515,7 @@ func TestEndToEndRetrievalWithBlinding(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	matches, err := server.Search(q)
+	matches, err := server.SearchTop(q, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -572,11 +572,11 @@ func TestQueryRandomizationPreservesMatches(t *testing.T) {
 	if q1.Equal(q2) {
 		t.Error("two randomized queries over the same terms are identical (search pattern leaks)")
 	}
-	m1, err := server.Search(q1)
+	m1, err := server.SearchTop(q1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m2, err := server.Search(q2)
+	m2, err := server.SearchTop(q2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -708,7 +708,7 @@ func TestServerRejectsWrongSizeQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := server.Search(nil); err == nil {
+	if _, err := server.SearchTop(nil, 0); err == nil {
 		t.Error("nil query accepted")
 	}
 }
@@ -798,7 +798,7 @@ func TestEpochExpiryFlow(t *testing.T) {
 	upload()
 
 	// The pre-rotation query almost surely no longer matches.
-	if ms, err := server.Search(staleQ); err != nil {
+	if ms, err := server.SearchTop(staleQ, 0); err != nil {
 		t.Fatal(err)
 	} else if len(ms) != 0 {
 		t.Log("note: stale query matched by chance (false accept)")
@@ -829,7 +829,7 @@ func TestEpochExpiryFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ms, err := server.Search(q)
+	ms, err := server.SearchTop(q, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -891,7 +891,7 @@ func TestVectorModeTrapdoors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ms, err := server.Search(q)
+	ms, err := server.SearchTop(q, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -172,7 +172,7 @@ func TestDeleteEverything(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := srv.Search(q)
+	res, err := srv.SearchTop(q, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -398,8 +398,8 @@ type scanScratch struct {
 	workers []workerScratch    // one per concurrent shard scanner
 	heaps   []topTau           // per-shard × per-query heaps, flat
 	cands   []candidate        // merge buffer for the global τ-cut
-	qbuf    []*bitindex.Vector // single-query wrapper for SearchTop
-	out     [][]Match          // single-query result wrapper for SearchTop
+	qbuf    []*bitindex.Vector // one-query wrapper for SearchTop
+	out     [][]Match          // one-query result wrapper for SearchTop
 	wg      sync.WaitGroup     // parallel-scan barrier, reused across searches
 }
 
@@ -621,84 +621,58 @@ func scanWorker(jobs <-chan scanJob, k, w int) {
 	}
 }
 
-func (s *Server) validateQuery(q *bitindex.Vector) error {
-	if q == nil || q.Len() != s.params.R {
-		return fmt.Errorf("core: query must be %d bits", s.params.R)
-	}
-	return nil
-}
-
-// Search runs the ranked oblivious search of Algorithm 1 against every
-// stored index: a document matches if its level-1 index matches the query
-// (Equation 3); its rank is the highest consecutive level that still
-// matches. Results are returned in descending rank order, ties broken by
-// document ID for determinism.
-func (s *Server) Search(q *bitindex.Vector) ([]Match, error) {
-	return s.SearchTop(q, 0)
-}
-
-// SearchTop returns only the top-τ matches ("the user can retrieve only the
-// top τ matches where τ is chosen by the user", Section 5). τ ≤ 0 returns
-// every match. With τ > 0 each shard retains at most τ candidates and only
-// the global survivors' metadata vectors are copied out of the arenas.
-func (s *Server) SearchTop(q *bitindex.Vector, tau int) ([]Match, error) {
-	return s.SearchTopContext(context.Background(), q, tau)
-}
-
-// SearchTopContext is SearchTop with a request context for the scan
-// observer (ObserveScans): a traced request's context flows to the
-// observer so its scan span lands in the right trace. ctx does not cancel
-// the scan.
-func (s *Server) SearchTopContext(ctx context.Context, q *bitindex.Vector, tau int) ([]Match, error) {
-	if err := s.validateQuery(q); err != nil {
-		return nil, err
-	}
-	obs, start := s.startScan()
-	// Wrap the query and result in pooled one-element slices so a SearchTop
-	// call allocates nothing but the returned matches.
-	sc := s.scratch.Get().(*scanScratch)
-	sc.qbuf = append(sc.qbuf[:0], q)
-	if cap(sc.out) < 1 {
-		sc.out = make([][]Match, 1)
-	}
-	sc.out = sc.out[:1]
-	sc.out[0] = nil
-	s.searchSharded(sc, sc.qbuf, tau, sc.out)
-	res := sc.out[0]
-	sc.out[0] = nil
-	sc.qbuf[0] = nil
-	s.scratch.Put(sc)
-	endScan(ctx, obs, start)
-	return res, nil
-}
-
-// SearchBatch evaluates several queries in one sharded pass over the store:
-// each shard is locked and its arenas swept once per query back to back,
-// paying the per-shard lock, fan-out and scratch costs once per batch
-// instead of once per query. Result i is exactly what
-// SearchTop(queries[i], tau) would return.
-func (s *Server) SearchBatch(queries []*bitindex.Vector, tau int) ([][]Match, error) {
-	return s.SearchBatchContext(context.Background(), queries, tau)
-}
-
-// SearchBatchContext is SearchBatch with a request context for the scan
-// observer (see SearchTopContext).
-func (s *Server) SearchBatchContext(ctx context.Context, queries []*bitindex.Vector, tau int) ([][]Match, error) {
+// SearchBatch runs the ranked oblivious search of Algorithm 1 for every
+// query in one sharded pass over the store: a document matches a query if
+// its level-1 index matches it (Equation 3); its rank is the highest
+// consecutive level that still matches. Result i holds queries[i]'s top-τ
+// matches ("the user can retrieve only the top τ matches where τ is chosen
+// by the user", Section 5) in descending rank order, ties broken by
+// document ID; τ ≤ 0 returns every match. Each shard retains at most τ
+// candidates per query, and only the global survivors' metadata vectors
+// are copied out of the arenas.
+//
+// ctx is the request context handed to the scan observer (ObserveScans),
+// once per batch, so a traced request's scan span lands in its trace. It
+// does not cancel the scan.
+func (s *Server) SearchBatch(ctx context.Context, queries []*bitindex.Vector, tau int) ([][]Match, error) {
 	if len(queries) == 0 {
 		return nil, nil
 	}
+	out := make([][]Match, len(queries))
+	sc := s.scratch.Get().(*scanScratch)
+	err := s.search(ctx, sc, queries, tau, out)
+	s.scratch.Put(sc)
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// SearchTop is a SearchBatch of the one query q that allocates nothing
+// but the returned matches: the query and result wrappers are pooled.
+func (s *Server) SearchTop(q *bitindex.Vector, tau int) ([]Match, error) {
+	sc := s.scratch.Get().(*scanScratch)
+	sc.qbuf = append(sc.qbuf[:0], q)
+	sc.out = append(sc.out[:0], nil)
+	err := s.search(context.Background(), sc, sc.qbuf, tau, sc.out)
+	res := sc.out[0]
+	sc.out[0], sc.qbuf[0] = nil, nil
+	s.scratch.Put(sc)
+	return res, err
+}
+
+// search validates queries, then scans the store once for all of them into
+// out, reporting the scan to the observer.
+func (s *Server) search(ctx context.Context, sc *scanScratch, queries []*bitindex.Vector, tau int, out [][]Match) error {
 	for i, q := range queries {
-		if err := s.validateQuery(q); err != nil {
-			return nil, fmt.Errorf("core: batch query %d: %w", i, err)
+		if q == nil || q.Len() != s.params.R {
+			return fmt.Errorf("core: query %d must be %d bits", i, s.params.R)
 		}
 	}
 	obs, start := s.startScan()
-	out := make([][]Match, len(queries))
-	sc := s.scratch.Get().(*scanScratch)
 	s.searchSharded(sc, queries, tau, out)
-	s.scratch.Put(sc)
 	endScan(ctx, obs, start)
-	return out, nil
+	return nil
 }
 
 // Fetch returns a stored encrypted document by ID (step 3 of Figure 1).

@@ -162,7 +162,7 @@ func TestSearchBatchMatchesSearchTop(t *testing.T) {
 	}
 	for _, tau := range []int{0, 2, 7} {
 		srv.Costs.Reset()
-		results, err := srv.SearchBatch(queries, tau)
+		results, err := srv.SearchBatch(context.Background(), queries, tau)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -183,10 +183,10 @@ func TestSearchBatchMatchesSearchTop(t *testing.T) {
 		}
 	}
 
-	if res, err := srv.SearchBatch(nil, 0); err != nil || res != nil {
+	if res, err := srv.SearchBatch(context.Background(), nil, 0); err != nil || res != nil {
 		t.Errorf("empty batch: %v, %v", res, err)
 	}
-	if _, err := srv.SearchBatch([]*bitindex.Vector{queries[0], bitindex.New(8)}, 0); err == nil {
+	if _, err := srv.SearchBatch(context.Background(), []*bitindex.Vector{queries[0], bitindex.New(8)}, 0); err == nil {
 		t.Error("batch with wrong-size query accepted")
 	}
 }
@@ -329,7 +329,7 @@ func TestConcurrentUploadSearchFetch(t *testing.T) {
 						return
 					}
 				case 1:
-					if _, err := srv.SearchBatch(queries, 5); err != nil {
+					if _, err := srv.SearchBatch(context.Background(), queries, 5); err != nil {
 						errs <- err
 						return
 					}
@@ -354,7 +354,7 @@ func TestConcurrentUploadSearchFetch(t *testing.T) {
 	// Quiescent state must agree with the sequential baseline exactly.
 	for qi, q := range queries {
 		want := searchReference(t, srv, q, 0)
-		got, err := srv.Search(q)
+		got, err := srv.SearchTop(q, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -424,6 +424,21 @@ func TestSearchScanPathAllocationFree(t *testing.T) {
 		t.Errorf("SearchTop with %d matches allocates %.0f times per query, want <= %.0f", len(res), got, budget)
 	}
 
+	// A SearchBatch of one — the service's one entry — costs at most two
+	// allocations more than SearchTop: the result wrapper, and the query
+	// wrapper when it escapes.
+	batchOfOne := func(q *bitindex.Vector) {
+		if _, err := srv.SearchBatch(context.Background(), []*bitindex.Vector{q}, 5); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := testing.AllocsPerRun(100, func() { batchOfOne(miss) }); got > 0+2 {
+		t.Errorf("no-match SearchBatch of one allocates %.0f times per query, want <= 2", got)
+	}
+	if got := testing.AllocsPerRun(100, func() { batchOfOne(hit) }); got > budget+2 {
+		t.Errorf("SearchBatch of one with %d matches allocates %.0f times per query, want <= %.0f", len(res), got, budget+2)
+	}
+
 	// The multi-worker path must be equally clean: job dispatch to the
 	// persistent shard-affine workers is by-value channel sends, and every
 	// worker's scratch (row buffers, block bitmaps) is warm after the
@@ -479,7 +494,7 @@ func TestBuildQueryWarmAllocs(t *testing.T) {
 	}
 }
 
-// A batch is one scan: SearchBatchContext calls the scan hook exactly once
+// A batch is one scan: SearchBatch calls the scan hook exactly once
 // per batch, not once per query, and hands it the caller's context — the
 // one a traced request's "scan" span must land in.
 func TestSearchBatchObservesOneScanWithCallerContext(t *testing.T) {
@@ -504,7 +519,7 @@ func TestSearchBatchObservesOneScanWithCallerContext(t *testing.T) {
 	})
 	r := o.Params().R
 	queries := []*bitindex.Vector{bitindex.New(r), bitindex.New(r), bitindex.New(r)}
-	if _, err := srv.SearchBatchContext(ctx, queries, 5); err != nil {
+	if _, err := srv.SearchBatch(ctx, queries, 5); err != nil {
 		t.Fatal(err)
 	}
 	if calls != 1 {

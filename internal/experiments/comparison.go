@@ -111,7 +111,7 @@ func CaoComparison(sizes []int, dictSize, queriesPerPoint int, seed int64) (*Cao
 		q := f.build(words)
 		start = time.Now()
 		for i := 0; i < queriesPerPoint; i++ {
-			if _, err := server.Search(q); err != nil {
+			if _, err := server.SearchTop(q, 0); err != nil {
 				return nil, err
 			}
 		}

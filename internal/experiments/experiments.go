@@ -442,7 +442,7 @@ func Fig4b(sizes []int, queries int, seed int64) (*Fig4bResult, error) {
 			}
 			start := time.Now()
 			for _, q := range qs {
-				if _, err := server.Search(q); err != nil {
+				if _, err := server.SearchTop(q, 0); err != nil {
 					return nil, err
 				}
 			}

@@ -162,7 +162,7 @@ func Table2(numDocs int, seed int64) (*Table2Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	matches, err := server.Search(q)
+	matches, err := server.SearchTop(q, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -249,7 +249,7 @@ func RankingQuality(trials int, seed int64) (*RankingResult, error) {
 		}
 		f := newQueryFactory(owner, trialSeed+3)
 		q := f.build(query)
-		matches, err := server.Search(q)
+		matches, err := server.SearchTop(q, 0)
 		if err != nil {
 			return nil, err
 		}

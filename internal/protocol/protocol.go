@@ -329,7 +329,9 @@ type DeleteResponse struct {
 	Stored int // total documents remaining
 }
 
-// SearchRequest submits an r-bit query index (step 2 of Figure 1).
+// SearchRequest submits one r-bit query index (step 2 of Figure 1). The
+// client sends every search as a SearchBatchRequest; a cloud daemon answers
+// this single-query frame, which older clients send, as a batch of one.
 type SearchRequest struct {
 	Query []byte // marshaled bitindex vector
 	TopK  int    // τ; 0 returns all matches

@@ -1,10 +1,12 @@
 package service
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"net"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -13,6 +15,7 @@ import (
 	"mkse/internal/core"
 	"mkse/internal/durable"
 	"mkse/internal/protocol"
+	"mkse/internal/telemetry"
 )
 
 // The cache tests exercise result memoization, not cryptography: like the
@@ -117,7 +120,7 @@ func TestCachedSearchAgreesAcrossInterleavings(t *testing.T) {
 				raws[i] = pool[rng.Intn(len(pool))].raw
 			}
 			raws[rng.Intn(n)] = raws[0] // force at least one duplicate pair
-			resp, err := svc.SearchBatchWire(&protocol.SearchBatchRequest{Queries: raws, TopK: tau})
+			resp, err := svc.SearchBatchWire(context.Background(), &protocol.SearchBatchRequest{Queries: raws, TopK: tau})
 			if err != nil {
 				t.Fatalf("step %d: batch: %v", step, err)
 			}
@@ -159,10 +162,12 @@ func TestCachedSearchAgreesAcrossInterleavings(t *testing.T) {
 	t.Logf("cache after interleavings: %+v", st)
 }
 
-// TestSearchBatchDedupesWithoutCache pins the satellite guarantee: identical
-// query vectors inside one batch are scanned once even with no cache
-// configured, and every duplicate slot receives the identical result.
-func TestSearchBatchDedupesWithoutCache(t *testing.T) {
+// TestSearchBatchDuplicateSlotsAgree: with no cache configured, a batch
+// that repeats a query vector answers every repeated slot with the same
+// result, and that result is what the batch of distinct queries returns.
+// (Every slot is scanned on its own: a correct client never repeats a
+// query vector, since each ANDs in a fresh decoy subset.)
+func TestSearchBatchDuplicateSlotsAgree(t *testing.T) {
 	p := replParams()
 	srv, err := core.NewServerSharded(p, 2, 1)
 	if err != nil {
@@ -182,23 +187,13 @@ func TestSearchBatchDedupesWithoutCache(t *testing.T) {
 	q1 := cacheQuery(rng, p, sis[0])
 	q2 := cacheQuery(rng, p, sis[1])
 
-	// Comparison cost of the deduped batch must equal that of one scan per
-	// distinct query, not per slot.
-	before := srv.Costs.Snapshot().BinaryComparisons
-	distinct, err := svc.SearchBatchWire(&protocol.SearchBatchRequest{Queries: [][]byte{q1, q2}, TopK: 5})
+	distinct, err := svc.SearchBatchWire(context.Background(), &protocol.SearchBatchRequest{Queries: [][]byte{q1, q2}, TopK: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	perDistinct := srv.Costs.Snapshot().BinaryComparisons - before
-
-	before = srv.Costs.Snapshot().BinaryComparisons
-	dup, err := svc.SearchBatchWire(&protocol.SearchBatchRequest{Queries: [][]byte{q1, q1, q2, q1, q2}, TopK: 5})
+	dup, err := svc.SearchBatchWire(context.Background(), &protocol.SearchBatchRequest{Queries: [][]byte{q1, q1, q2, q1, q2}, TopK: 5})
 	if err != nil {
 		t.Fatal(err)
-	}
-	perDuped := srv.Costs.Snapshot().BinaryComparisons - before
-	if perDuped != perDistinct {
-		t.Fatalf("5-slot batch with 2 distinct queries cost %d comparisons, the 2-query batch cost %d — duplicates were rescanned", perDuped, perDistinct)
 	}
 
 	if len(dup.Results) != 5 {
@@ -210,10 +205,76 @@ func TestSearchBatchDedupesWithoutCache(t *testing.T) {
 		}
 	}
 	if !reflect.DeepEqual(dup.Results[0], distinct.Results[0]) || !reflect.DeepEqual(dup.Results[2], distinct.Results[1]) {
-		t.Fatal("deduped batch results differ from the plain batch")
+		t.Fatal("duplicate-slot batch results differ from the distinct batch")
 	}
 	if !reflect.DeepEqual(dup.Results[4], dup.Results[2]) {
 		t.Fatal("second q2 slot differs from the first")
+	}
+}
+
+// TestSearchRequestIsABatchOfOne: the single-query SearchRequest frame over
+// TCP, SearchWire and a SearchBatchWire of one are one search path — they
+// return the matches an uncached scan returns, with and without a Cache —
+// and both search frames count under the one verb="search" series.
+func TestSearchRequestIsABatchOfOne(t *testing.T) {
+	p := replParams()
+	srv, err := core.NewServerSharded(p, 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(66))
+	var queries [][]byte
+	for i := 0; i < 20; i++ {
+		id := fmt.Sprintf("d-%03d", i)
+		si := replIndex(rng, p, id)
+		if err := srv.Upload(si, &core.EncryptedDocument{ID: id, Ciphertext: []byte(id), EncKey: []byte{1}}); err != nil {
+			t.Fatal(err)
+		}
+		if i < 4 {
+			queries = append(queries, cacheQuery(rng, p, si))
+		}
+	}
+	for _, cache := range []*ResultCache{nil, NewResultCache(1 << 20)} {
+		svc := &CloudService{Server: srv, Cache: cache}
+		reg := telemetry.New()
+		svc.EnableMetrics(reg)
+		addr := serveLoopback(t, svc.Serve)
+		for qi, q := range queries {
+			want := uncachedWire(t, srv, q, 5)
+			if len(want) == 0 {
+				t.Fatalf("query %d matched nothing; the comparison would prove nothing", qi)
+			}
+			frame := exchange(t, addr, &protocol.Message{SearchReq: &protocol.SearchRequest{Query: q, TopK: 5}})
+			batchFrame := exchange(t, addr, &protocol.Message{SearchBatchReq: &protocol.SearchBatchRequest{Queries: [][]byte{q}, TopK: 5}})
+			if frame.SearchResp == nil || batchFrame.SearchBatchResp == nil || len(batchFrame.SearchBatchResp.Results) != 1 {
+				t.Fatalf("query %d: search frames answered %+v and %+v", qi, frame, batchFrame)
+			}
+			wire, err := svc.SearchWire(&protocol.SearchRequest{Query: q, TopK: 5})
+			if err != nil {
+				t.Fatal(err)
+			}
+			batch, err := svc.SearchBatchWire(context.Background(), &protocol.SearchBatchRequest{Queries: [][]byte{q}, TopK: 5})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for name, got := range map[string][]protocol.MatchWire{
+				"SearchRequest frame":      frame.SearchResp.Matches,
+				"SearchBatchRequest frame": batchFrame.SearchBatchResp.Results[0],
+				"SearchWire":               wire.Matches,
+				"SearchBatchWire of one":   batch.Results[0],
+			} {
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("cache=%t query %d: %s returned %v, want %v", cache != nil, qi, name, got, want)
+				}
+			}
+		}
+		scrape := reg.Render()
+		if want := fmt.Sprintf(`mkse_request_duration_seconds_count{verb="search"} %d`, 2*len(queries)); !strings.Contains(scrape, want) {
+			t.Errorf("cache=%t: scrape missing %q", cache != nil, want)
+		}
+		if strings.Contains(scrape, "searchbatch") {
+			t.Errorf("cache=%t: a batch search counted under its own verb", cache != nil)
+		}
 	}
 }
 
@@ -251,7 +312,7 @@ func TestCacheConcurrentWithMutationsAndCheckpoints(t *testing.T) {
 				q := queries[rng.Intn(len(queries))]
 				if i%3 == 0 {
 					batch := [][]byte{q, queries[rng.Intn(len(queries))], q}
-					if _, err := svc.SearchBatchWire(&protocol.SearchBatchRequest{Queries: batch, TopK: 10}); err != nil {
+					if _, err := svc.SearchBatchWire(context.Background(), &protocol.SearchBatchRequest{Queries: batch, TopK: 10}); err != nil {
 						t.Error(err)
 						return
 					}

@@ -178,20 +178,23 @@ func (c *Client) Close() error {
 	return first
 }
 
-// EnsureTrapdoors fetches trapdoor material for any of the given keywords
-// the user does not already cover, signing the request (step 1 of Figure
-// 1). It is a no-op when everything is cached — the paper's point that
+// EnsureTrapdoors fetches trapdoor material for any keyword of the given
+// keyword sets the user does not already cover, in one signed request
+// (step 1 of Figure 1); a word shared by several sets is requested once.
+// It is a no-op when everything is cached — the paper's point that
 // trapdoors are reusable across queries. If the response reveals a key
 // rotation (new epoch, Section 4.3), all cached material is discarded, the
 // decoy trapdoors are refreshed, and the new-epoch material from the same
 // response is installed.
-func (c *Client) EnsureTrapdoors(words []string) error {
+func (c *Client) EnsureTrapdoors(queries ...[]string) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var missing []string
-	for _, w := range words {
-		if !c.user.HasTrapdoorFor(w) {
-			missing = append(missing, w)
+	for _, words := range queries {
+		for _, w := range words {
+			if !c.user.HasTrapdoorFor(w) {
+				missing = append(missing, w)
+			}
 		}
 	}
 	if len(missing) == 0 {
@@ -275,10 +278,11 @@ type Match struct {
 }
 
 // Search builds a randomized query index for the keywords and submits it to
-// the cloud (step 2 of Figure 1), returning up to topK rank-ordered matches.
+// the cloud (step 2 of Figure 1), returning up to topK rank-ordered matches:
+// a SearchBatch of one.
 func (c *Client) Search(words []string, topK int) ([]Match, error) {
-	out, _, err := c.search(words, topK, false)
-	return out, err
+	out, _, err := c.search([][]string{words}, topK, false)
+	return first(out), err
 }
 
 // TraceSearch is Search with its trace forced on: the search is sampled
@@ -290,7 +294,29 @@ func (c *Client) TraceSearch(words []string, topK int) ([]Match, []trace.Span, e
 	if c.Tracer == nil {
 		return nil, nil, fmt.Errorf("service: TraceSearch requires a client Tracer")
 	}
-	return c.search(words, topK, true)
+	out, spans, err := c.search([][]string{words}, topK, true)
+	return first(out), spans, err
+}
+
+// SearchBatch builds one randomized query index per keyword set and submits
+// them all in a single round trip per partition; each cloud daemon
+// evaluates the batch in one sharded pass. Result i corresponds to
+// queries[i], each truncated to topK.
+func (c *Client) SearchBatch(queries [][]string, topK int) ([][]Match, error) {
+	if len(queries) == 0 {
+		return nil, nil
+	}
+	out, _, err := c.search(queries, topK, false)
+	return out, err
+}
+
+// first is a one-query search's result: nil when the search failed
+// outright, the merged matches otherwise (a partial result included).
+func first(out [][]Match) []Match {
+	if out == nil {
+		return nil
+	}
+	return out[0]
 }
 
 // startRoot opens the client-side root span of one request when a Tracer is
@@ -315,74 +341,46 @@ func endRoot(root *trace.ActiveSpan, err error) []trace.Span {
 	return root.Spans()
 }
 
-// search is the one search path: build the randomized query index, scatter
-// it to every partition, merge. With a Tracer set the request may be
-// sampled (always, when forced) under a "client:search" root span.
-func (c *Client) search(words []string, topK int, force bool) ([]Match, []trace.Span, error) {
-	if err := c.EnsureTrapdoors(words); err != nil {
+// search is the one search path: fetch any missing trapdoors, build one
+// randomized query index per keyword set, send them to every partition as
+// one batch, merge per query. With a Tracer set the request may be sampled
+// (always, when forced) under a "client:search" root span.
+func (c *Client) search(queries [][]string, topK int, force bool) ([][]Match, []trace.Span, error) {
+	if err := c.EnsureTrapdoors(queries...); err != nil {
 		return nil, nil, err
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	ctx, root := c.startRoot("client:search", force)
 	if root != nil {
-		root.SetAttr("keywords", strconv.Itoa(len(words)))
+		keywords := 0
+		for _, words := range queries {
+			keywords += len(words)
+		}
+		root.SetAttr("queries", strconv.Itoa(len(queries)))
+		root.SetAttr("keywords", strconv.Itoa(keywords))
 		root.SetAttr("topk", strconv.Itoa(topK))
 	}
-	var out []Match
-	q, err := c.user.BuildQuery(words)
+	var out [][]Match
+	wire, err := c.buildQueries(queries)
 	if err == nil {
-		out, err = c.scatterSearch(ctx, marshalVector(q), topK)
+		out, err = c.scatterSearchBatch(ctx, wire, topK)
 	}
 	return out, endRoot(root, err), err
 }
 
-// SearchBatch builds one randomized query index per keyword set and submits
-// them all in a single round trip per partition; each cloud daemon
-// evaluates the batch in one sharded pass. Result i corresponds to
-// queries[i], each truncated to topK.
-func (c *Client) SearchBatch(queries [][]string, topK int) ([][]Match, error) {
-	if len(queries) == 0 {
-		return nil, nil
-	}
-	if err := c.EnsureTrapdoors(KeywordUnion(queries)); err != nil {
-		return nil, err
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
+// buildQueries builds and encodes one randomized query index per keyword
+// set. Caller holds c.mu.
+func (c *Client) buildQueries(queries [][]string) ([][]byte, error) {
 	wire := make([][]byte, len(queries))
 	for i, words := range queries {
 		q, err := c.user.BuildQuery(words)
 		if err != nil {
-			return nil, fmt.Errorf("service: batch query %d: %w", i, err)
+			return nil, fmt.Errorf("service: query %d: %w", i, err)
 		}
 		wire[i] = marshalVector(q)
 	}
-	ctx, root := c.startRoot("client:searchbatch", false)
-	if root != nil {
-		root.SetAttr("queries", strconv.Itoa(len(queries)))
-		root.SetAttr("topk", strconv.Itoa(topK))
-	}
-	out, err := c.scatterSearchBatch(ctx, wire, topK)
-	endRoot(root, err)
-	return out, err
-}
-
-// KeywordUnion deduplicates the keywords of a query batch, so a word shared
-// by many queries costs one trapdoor derivation and transfer, not one per
-// query.
-func KeywordUnion(queries [][]string) []string {
-	seen := make(map[string]bool)
-	var union []string
-	for _, words := range queries {
-		for _, w := range words {
-			if !seen[w] {
-				seen[w] = true
-				union = append(union, w)
-			}
-		}
-	}
-	return union
+	return wire, nil
 }
 
 // Retrieve fetches an encrypted document from the cloud (step 3) and runs

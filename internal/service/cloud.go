@@ -71,7 +71,7 @@ type CloudService struct {
 	// between requests before it is dropped (replication streams, which own
 	// their connection, are exempt).
 	IdleTimeout time.Duration
-	// Cache, when set, memoizes Search/SearchBatch results keyed by query
+	// Cache, when set, memoizes search results keyed by query
 	// fingerprint and validated against Server's mutation epoch — repeated
 	// queries skip the arena scan entirely. A nil Cache disables caching.
 	// Works unchanged on followers: entries key off the follower's own
@@ -84,7 +84,7 @@ type CloudService struct {
 	// latency histograms and the in-flight gauge for every request this
 	// service handles. A nil Metrics costs the hot path one nil check.
 	Metrics *ServiceMetrics
-	// SlowQuery, when non-zero, logs any search or batch search that takes
+	// SlowQuery, when non-zero, logs any search (a batch is one) that takes
 	// longer than the threshold at WARN level with verb/duration/remote
 	// fields — the always-on tail-latency tripwire. The same threshold
 	// governs /traces/slow retention (set the trace buffer's threshold to
@@ -197,9 +197,7 @@ func (s *CloudService) dispatch(ctx context.Context, pc *protocol.Conn, conn net
 	case VerbDelete:
 		return s.handleDelete(ctx, m.DeleteReq)
 	case VerbSearch:
-		return s.handleSearch(ctx, m.SearchReq)
-	case VerbSearchBatch:
-		return s.handleSearchBatch(ctx, m.SearchBatchReq)
+		return s.handleSearch(ctx, m)
 	case VerbFetch:
 		return s.handleFetch(m.FetchReq)
 	case VerbStats:
@@ -375,22 +373,21 @@ func (s *CloudService) handleDelete(ctx context.Context, req *protocol.DeleteReq
 	return &protocol.Message{DeleteResp: &protocol.DeleteResponse{Stored: s.Server.NumDocuments()}}
 }
 
-func (s *CloudService) handleSearch(ctx context.Context, req *protocol.SearchRequest) *protocol.Message {
-	resp, err := s.SearchWireCtx(ctx, req)
+// handleSearch answers both search frames: a SearchBatchRequest directly
+// and a SearchRequest as a batch of one (searchOne).
+func (s *CloudService) handleSearch(ctx context.Context, m *protocol.Message) *protocol.Message {
+	var resp protocol.Message
+	var err error
+	if m.SearchReq != nil {
+		resp.SearchResp, err = s.searchOne(ctx, m.SearchReq)
+	} else {
+		resp.SearchBatchResp, err = s.SearchBatchWire(ctx, m.SearchBatchReq)
+	}
 	if err != nil {
 		return errMsg(err)
 	}
-	logf(s.Logger, "cloud: query over %d documents -> %d matches", s.Server.NumDocuments(), len(resp.Matches))
-	return &protocol.Message{SearchResp: resp}
-}
-
-func (s *CloudService) handleSearchBatch(ctx context.Context, req *protocol.SearchBatchRequest) *protocol.Message {
-	resp, err := s.SearchBatchWireCtx(ctx, req)
-	if err != nil {
-		return errMsg(err)
-	}
-	logf(s.Logger, "cloud: batch of %d queries over %d documents", len(req.Queries), s.Server.NumDocuments())
-	return &protocol.Message{SearchBatchResp: resp}
+	logf(s.Logger, "cloud: search over %d documents", s.Server.NumDocuments())
+	return &resp
 }
 
 // matchesToWire encodes ranked matches for the wire (and the cache).
@@ -412,156 +409,86 @@ func wireSize(ms []protocol.MatchWire) int64 {
 	return n
 }
 
-// SearchWire answers one search request at the wire level — the same path
-// handleSearch serves over TCP, callable in-process by experiments, tests
-// and benchmarks. With a Cache configured, the store's mutation epoch is
-// read before the scan and the query fingerprint is looked up: a hit skips
-// the scan entirely, a miss scans and stores the encoded result at that
-// epoch. The returned match slice may be shared with the cache and other
-// requests; callers must not mutate it.
+// SearchWire answers a single-query SearchRequest, the frame older clients
+// send, as a batch of one through SearchBatchWire.
 func (s *CloudService) SearchWire(req *protocol.SearchRequest) (*protocol.SearchResponse, error) {
-	return s.SearchWireCtx(context.Background(), req)
+	return s.searchOne(context.Background(), req)
 }
 
-// SearchWireCtx is SearchWire under a request context: when the context
-// carries a sampled trace, the cache lookup records a "qcache" span
-// (outcome=hit|miss) and the arena scan records its "scan" span through the
-// core server's context observer. The trace.Sampled guard keeps the
-// unsampled path free of the allocations attribute slices would otherwise
-// cost.
-func (s *CloudService) SearchWireCtx(ctx context.Context, req *protocol.SearchRequest) (*protocol.SearchResponse, error) {
-	traced := trace.Sampled(ctx)
-	var key qcache.Key
-	var epoch uint64
-	if s.Cache != nil {
-		// The epoch MUST be read before the scan starts: a mutation landing
-		// between this read and the scan invalidates the entry we are about
-		// to store, never the other way around.
-		epoch = s.Server.Epoch()
-		var t0 time.Time
-		if traced {
-			t0 = time.Now()
-		}
-		key = qcache.Fingerprint(s.Server.Params().R, req.TopK, req.Query)
-		wire, ok := s.Cache.Get(key, epoch)
-		if traced {
-			outcome := "miss"
-			if ok {
-				outcome = "hit"
-			}
-			trace.AddCompleted(ctx, "qcache", t0, time.Since(t0), nil,
-				trace.Attr{Key: "outcome", Value: outcome})
-		}
-		if ok {
-			return &protocol.SearchResponse{Matches: wire}, nil
-		}
-	}
-	q, err := unmarshalVector(req.Query)
-	if err != nil {
-		return nil, fmt.Errorf("cloud: malformed query: %w", err)
-	}
-	matches, err := s.Server.SearchTopContext(ctx, q, req.TopK)
+// searchOne is the one adapter from a SearchRequest to SearchBatchWire.
+func (s *CloudService) searchOne(ctx context.Context, req *protocol.SearchRequest) (*protocol.SearchResponse, error) {
+	resp, err := s.SearchBatchWire(ctx, &protocol.SearchBatchRequest{Queries: [][]byte{req.Query}, TopK: req.TopK})
 	if err != nil {
 		return nil, err
 	}
-	wire := matchesToWire(matches)
-	if s.Cache != nil {
-		s.Cache.Put(key, epoch, wire, wireSize(wire))
-	}
-	return &protocol.SearchResponse{Matches: wire}, nil
+	return &protocol.SearchResponse{Matches: resp.Results[0]}, nil
 }
 
-// batchGroup collects the request slots holding one distinct query vector.
-type batchGroup struct {
-	key   qcache.Key
-	slots []int
-}
-
-// SearchBatchWire answers one batch search request at the wire level.
-// Identical query vectors within the batch are computed once and the result
-// fanned out to every slot — cache or no cache — and with a Cache configured
-// each distinct query is first looked up by fingerprint, so a batch of
-// already-cached queries performs no scan at all; only the misses go through
-// one sharded SearchBatch pass. Result slices may be shared between
-// duplicate slots and with the cache; callers must not mutate them.
-func (s *CloudService) SearchBatchWire(req *protocol.SearchBatchRequest) (*protocol.SearchBatchResponse, error) {
-	return s.SearchBatchWireCtx(context.Background(), req)
-}
-
-// SearchBatchWireCtx is SearchBatchWire under a request context: a sampled
-// trace records one "qcache" span covering the whole grouped lookup (with
-// hits/misses counts) and the miss scan records its "scan" span through the
-// core server's context observer.
-func (s *CloudService) SearchBatchWireCtx(ctx context.Context, req *protocol.SearchBatchRequest) (*protocol.SearchBatchResponse, error) {
-	traced := trace.Sampled(ctx)
+// SearchBatchWire is the cloud daemon's one search path at the wire level:
+// the handler of both search frames, callable in-process by tests and
+// benchmarks. Result i answers req.Queries[i]; a correct client never
+// repeats a query vector, because each ANDs in a fresh random decoy subset
+// (Section 4.2), so every query is scanned on its own.
+//
+// With a Cache configured, the store's mutation epoch is read before the
+// scan and each query's fingerprint is looked up: hits skip the scan, the
+// misses go through one sharded core SearchBatch pass, and their encoded
+// results are stored at that epoch. Result slices may be shared with the
+// cache and other requests; callers must not mutate them.
+//
+// When ctx carries a sampled trace, the lookups record one "qcache" span
+// (hits and misses counts) and the scan records its "scan" span through
+// the core server's scan hook.
+func (s *CloudService) SearchBatchWire(ctx context.Context, req *protocol.SearchBatchRequest) (*protocol.SearchBatchResponse, error) {
 	out := make([][]protocol.MatchWire, len(req.Queries))
-	if len(req.Queries) == 0 {
-		return &protocol.SearchBatchResponse{Results: out}, nil
-	}
+	var keys []qcache.Key
 	var epoch uint64
 	if s.Cache != nil {
-		epoch = s.Server.Epoch() // before any scan, as in SearchWire
-	}
-	var cacheT0 time.Time
-	if traced {
-		cacheT0 = time.Now()
-	}
-	cacheHits := 0
-
-	// Group slots by query fingerprint, preserving first-appearance order.
-	r := s.Server.Params().R
-	groups := make([]*batchGroup, 0, len(req.Queries))
-	byKey := make(map[qcache.Key]*batchGroup, len(req.Queries))
-	for i, raw := range req.Queries {
-		k := qcache.Fingerprint(r, req.TopK, raw)
-		g := byKey[k]
-		if g == nil {
-			g = &batchGroup{key: k}
-			byKey[k] = g
-			groups = append(groups, g)
-		}
-		g.slots = append(g.slots, i)
-	}
-
-	// Serve cached groups; decode one representative per remaining group.
-	misses := groups[:0]
-	var queries []*bitindex.Vector
-	for _, g := range groups {
-		if s.Cache != nil {
-			if wire, ok := s.Cache.Get(g.key, epoch); ok {
-				cacheHits++
-				for _, slot := range g.slots {
-					out[slot] = wire
-				}
-				continue
+		// The epoch MUST be read before the scan starts: a mutation landing
+		// between this read and the scan invalidates the entries we are about
+		// to store, never the other way around.
+		epoch = s.Server.Epoch()
+		t0 := time.Now()
+		keys = make([]qcache.Key, len(req.Queries))
+		hits := 0
+		for i, raw := range req.Queries {
+			keys[i] = qcache.Fingerprint(s.Server.Params().R, req.TopK, raw)
+			if wire, ok := s.Cache.Get(keys[i], epoch); ok {
+				out[i] = wire
+				hits++
 			}
 		}
-		q, err := unmarshalVector(req.Queries[g.slots[0]])
-		if err != nil {
-			return nil, fmt.Errorf("cloud: malformed batch query %d: %w", g.slots[0], err)
+		if trace.Sampled(ctx) {
+			trace.AddCompleted(ctx, "qcache", t0, time.Since(t0), nil,
+				trace.Attr{Key: "hits", Value: strconv.Itoa(hits)},
+				trace.Attr{Key: "misses", Value: strconv.Itoa(len(req.Queries) - hits)})
 		}
-		misses = append(misses, g)
+	}
+	// matchesToWire never returns nil, so a nil slot is one the cache did
+	// not answer: decode those, scan them in one pass, fill them in order.
+	queries := make([]*bitindex.Vector, 0, len(req.Queries))
+	for i, raw := range req.Queries {
+		if out[i] != nil {
+			continue
+		}
+		q, err := unmarshalVector(raw)
+		if err != nil {
+			return nil, fmt.Errorf("cloud: malformed query %d: %w", i, err)
+		}
 		queries = append(queries, q)
 	}
-	if traced && s.Cache != nil {
-		trace.AddCompleted(ctx, "qcache", cacheT0, time.Since(cacheT0), nil,
-			trace.Attr{Key: "hits", Value: strconv.Itoa(cacheHits)},
-			trace.Attr{Key: "misses", Value: strconv.Itoa(len(misses))})
+	results, err := s.Server.SearchBatch(ctx, queries, req.TopK)
+	if err != nil {
+		return nil, err
 	}
-
-	if len(queries) > 0 {
-		results, err := s.Server.SearchBatchContext(ctx, queries, req.TopK)
-		if err != nil {
-			return nil, err
+	for i := range out {
+		if out[i] != nil {
+			continue
 		}
-		for gi, g := range misses {
-			wire := matchesToWire(results[gi])
-			if s.Cache != nil {
-				s.Cache.Put(g.key, epoch, wire, wireSize(wire))
-			}
-			for _, slot := range g.slots {
-				out[slot] = wire
-			}
+		out[i] = matchesToWire(results[0])
+		results = results[1:]
+		if s.Cache != nil {
+			s.Cache.Put(keys[i], epoch, out[i], wireSize(out[i]))
 		}
 	}
 	return &protocol.SearchBatchResponse{Results: out}, nil

@@ -20,8 +20,7 @@ import (
 const (
 	VerbUpload           = "upload"
 	VerbDelete           = "delete"
-	VerbSearch           = "search"
-	VerbSearchBatch      = "searchbatch"
+	VerbSearch           = "search" // both search frames: a single search is a batch of one
 	VerbFetch            = "fetch"
 	VerbStats            = "stats"
 	VerbReplicaSubscribe = "replicasubscribe"
@@ -34,7 +33,7 @@ const (
 // verbs is the full label set, pre-registered so every series exists from
 // the first scrape (Prometheus rate() needs the zero sample).
 var verbs = []string{
-	VerbUpload, VerbDelete, VerbSearch, VerbSearchBatch, VerbFetch,
+	VerbUpload, VerbDelete, VerbSearch, VerbFetch,
 	VerbStats, VerbReplicaSubscribe, VerbPromote, VerbReconfigure,
 	VerbClusterInfo,
 }
@@ -46,10 +45,8 @@ func verbOf(m *protocol.Message) string {
 		return VerbUpload
 	case m.DeleteReq != nil:
 		return VerbDelete
-	case m.SearchReq != nil:
+	case m.SearchReq != nil, m.SearchBatchReq != nil:
 		return VerbSearch
-	case m.SearchBatchReq != nil:
-		return VerbSearchBatch
 	case m.FetchReq != nil:
 		return VerbFetch
 	case m.StatsReq != nil:

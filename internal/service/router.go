@@ -404,37 +404,14 @@ func (c *Client) scatter(ctx context.Context, m *protocol.Message, balance bool)
 	return resps, nil
 }
 
-// scatterSearch is the scatter-gather Search: every partition runs the scan
-// over its own corpus slice with its local top-τ cut, and the coordinator
-// interleaves the sorted lists and applies the global cut. Because
-// partitions hold disjoint document sets, the merged prefix is
-// byte-identical to a single-node scan of the whole corpus. When partitions
-// failed, the merged result covers the survivors and the
-// *cluster.PartialError names the rest — callers choose whether a partial
-// answer is usable.
-func (c *Client) scatterSearch(ctx context.Context, query []byte, topK int) ([]Match, error) {
-	sctx, sp := trace.Start(ctx, "scatter")
-	resps, pe := c.scatter(sctx, &protocol.Message{SearchReq: &protocol.SearchRequest{
-		Query: query,
-		TopK:  topK,
-	}}, true)
-	sp.SetAttr("partitions", strconv.Itoa(len(resps)))
-	sp.End()
-	lists := make([][]protocol.MatchWire, 0, len(resps))
-	for i, r := range resps {
-		if r == nil {
-			continue
-		}
-		if r.SearchResp == nil {
-			return nil, fmt.Errorf("service: search response missing from partition %d", i)
-		}
-		lists = append(lists, r.SearchResp.Matches)
-	}
-	return mergeMatches(lists, topK), pe
-}
-
-// scatterSearchBatch is the scatter-gather SearchBatch: one batch round trip
-// per partition, then a per-query merge under the global τ-cut.
+// scatterSearchBatch is the scatter-gather search: every partition runs the
+// batch over its own corpus slice with its local top-τ cut, in one round
+// trip, and the coordinator interleaves each query's sorted lists and
+// applies the global cut. Because partitions hold disjoint document sets,
+// each merged prefix is byte-identical to a single-node scan of the whole
+// corpus. When partitions failed, the merged results cover the survivors
+// and the *cluster.PartialError names the rest — callers choose whether a
+// partial answer is usable.
 func (c *Client) scatterSearchBatch(ctx context.Context, wire [][]byte, topK int) ([][]Match, error) {
 	sctx, sp := trace.Start(ctx, "scatter")
 	resps, pe := c.scatter(sctx, &protocol.Message{SearchBatchReq: &protocol.SearchBatchRequest{
@@ -443,7 +420,6 @@ func (c *Client) scatterSearchBatch(ctx context.Context, wire [][]byte, topK int
 	}}, true)
 	sp.SetAttr("partitions", strconv.Itoa(len(resps)))
 	sp.End()
-	perQuery := make([][][]protocol.MatchWire, len(wire))
 	for pi, r := range resps {
 		if r == nil {
 			continue
@@ -454,12 +430,16 @@ func (c *Client) scatterSearchBatch(ctx context.Context, wire [][]byte, topK int
 		if got := len(r.SearchBatchResp.Results); got != len(wire) {
 			return nil, fmt.Errorf("service: partition %d returned %d result sets for %d queries", pi, got, len(wire))
 		}
-		for qi, ms := range r.SearchBatchResp.Results {
-			perQuery[qi] = append(perQuery[qi], ms)
-		}
 	}
 	out := make([][]Match, len(wire))
-	for qi, lists := range perQuery {
+	lists := make([][]protocol.MatchWire, 0, len(resps))
+	for qi := range out {
+		lists = lists[:0]
+		for _, r := range resps {
+			if r != nil {
+				lists = append(lists, r.SearchBatchResp.Results[qi])
+			}
+		}
 		out[qi] = mergeMatches(lists, topK)
 	}
 	return out, pe

@@ -207,7 +207,7 @@ func (rs *requestSeam) serve(pc *protocol.Conn, conn net.Conn, m *protocol.Messa
 		}
 	}
 	dur := time.Since(start)
-	slow := rs.slow > 0 && dur >= rs.slow && (verb == VerbSearch || verb == VerbSearchBatch)
+	slow := rs.slow > 0 && dur >= rs.slow && verb == VerbSearch
 	documents := 0
 	if slow {
 		documents = rs.documents()

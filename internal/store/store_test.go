@@ -87,7 +87,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, s := range map[string]*core.Server{"original": srv, "restored": restored} {
-		matches, err := s.Search(q)
+		matches, err := s.SearchTop(q, 0)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

@@ -100,8 +100,11 @@ func NewBuffer(capacity int) *Buffer {
 
 // SetSlowThreshold sets the root-span duration above which a trace is also
 // retained in the slow ring. Zero disables slow retention. Matches the
-// daemon's -slow-query so logs and /traces/slow agree on "slow".
+// daemon's -slow-query so logs and /traces/slow agree on "slow". Nil-safe.
 func (b *Buffer) SetSlowThreshold(d time.Duration) {
+	if b == nil {
+		return
+	}
 	b.slowNS.Store(int64(d))
 }
 

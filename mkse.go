@@ -1,8 +1,10 @@
 package mkse
 
 import (
+	"context"
 	"fmt"
 	"math/big"
+	"slices"
 
 	"mkse/internal/bitindex"
 	"mkse/internal/cluster"
@@ -242,7 +244,7 @@ func (s *System) Search(u *User, words []string, topK int) ([]Match, error) {
 // one randomized query per set and evaluates them all in a single sharded
 // pass over the cloud store. Result i corresponds to queries[i].
 func (s *System) SearchBatch(u *User, queries [][]string, topK int) ([][]Match, error) {
-	if err := s.FetchTrapdoors(u, service.KeywordUnion(queries)); err != nil {
+	if err := s.FetchTrapdoors(u, slices.Concat(queries...)); err != nil {
 		return nil, err
 	}
 	qs := make([]*bitindex.Vector, len(queries))
@@ -253,7 +255,7 @@ func (s *System) SearchBatch(u *User, queries [][]string, topK int) ([][]Match, 
 		}
 		qs[i] = q
 	}
-	return s.Cloud.SearchBatch(qs, topK)
+	return s.Cloud.SearchBatch(context.Background(), qs, topK)
 }
 
 // Retrieve fetches a document from the cloud and decrypts it through the
