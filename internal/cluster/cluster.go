@@ -127,23 +127,13 @@ func (c Config) String() string {
 	return strings.Join(parts, ",")
 }
 
-// Less is the global result order: descending rank, ties broken by
-// ascending document ID — exactly the order core.Server emits, restated
-// here so the merge and the scan cannot drift apart.
-func Less(a, b protocol.MatchWire) bool {
-	if a.Rank != b.Rank {
-		return a.Rank > b.Rank
-	}
-	return a.DocID < b.DocID
-}
-
-// MergeWire folds per-partition result lists — each already in (rank desc,
-// docID asc) order with its local τ-cut applied — into the global order and
-// applies the global τ-cut (tau <= 0 keeps everything). Because partitions
-// hold disjoint document sets, the merged prefix is byte-identical to what
-// a single node holding the whole corpus would return, metadata included.
-// An empty merge returns nil, matching the single-node scan's no-match
-// result.
+// MergeWire folds per-partition result lists — each already in the global
+// result order (core.Match.Before: rank desc, docID asc) with its local
+// τ-cut applied — into that order and applies the global τ-cut (tau <= 0
+// keeps everything). Because partitions hold disjoint document sets, the
+// merged prefix is exactly what a single node holding the whole corpus
+// would return. An empty merge returns nil, matching the single-node scan's
+// no-match result.
 func MergeWire(parts [][]protocol.MatchWire, tau int) []protocol.MatchWire {
 	total := 0
 	for _, p := range parts {
@@ -163,7 +153,7 @@ func MergeWire(parts [][]protocol.MatchWire, tau int) []protocol.MatchWire {
 			if idx[pi] >= len(parts[pi]) {
 				continue
 			}
-			if best < 0 || Less(parts[pi][idx[pi]], parts[best][idx[best]]) {
+			if best < 0 || parts[pi][idx[pi]].Before(parts[best][idx[best]]) {
 				best = pi
 			}
 		}

@@ -115,7 +115,9 @@ func TestConfigValidate(t *testing.T) {
 
 // MergeWire against the obvious reference: pool everything, sort globally,
 // cut at τ. Because the partitions are disjoint and each applies its own
-// local τ-cut first, the two must agree exactly, metadata included.
+// local τ-cut first, the two must agree exactly. The reference spells the
+// order out itself (rank desc, docID asc) rather than borrowing
+// core.Match.Before, so it also checks the one definition MergeWire uses.
 func TestMergeWireMatchesSortReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(0x5eed))
 	for trial := 0; trial < 300; trial++ {
@@ -127,7 +129,6 @@ func TestMergeWireMatchesSortReference(t *testing.T) {
 			all[i] = protocol.MatchWire{
 				DocID: fmt.Sprintf("doc-%03d", i),
 				Rank:  rng.Intn(5) + 1,
-				Meta:  []byte{byte(i), byte(trial)},
 			}
 		}
 		m := Map{Partitions: p}
@@ -137,13 +138,10 @@ func TestMergeWireMatchesSortReference(t *testing.T) {
 			parts[pi] = append(parts[pi], mw)
 		}
 		cmp := func(a, b protocol.MatchWire) int {
-			if Less(a, b) {
-				return -1
+			if a.Rank != b.Rank {
+				return b.Rank - a.Rank
 			}
-			if Less(b, a) {
-				return 1
-			}
-			return 0
+			return strings.Compare(a.DocID, b.DocID)
 		}
 		for pi := range parts {
 			slices.SortFunc(parts[pi], cmp)

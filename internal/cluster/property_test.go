@@ -1,7 +1,7 @@
 // Property test for the scatter-gather cluster: across randomized corpora,
 // partition counts, ranking depths and τ-cuts, a partitioned deployment must
 // answer searches byte-identically to a single node holding the whole corpus
-// — matches, ranks, metadata and the binary-comparison cost accounting all
+// — matches, ranks and the binary-comparison cost accounting all
 // included. The comparison runs at the wire layer (the exact request/response
 // structs the daemons gob-encode), driving the same MergeWire the fat client
 // uses.

@@ -160,70 +160,110 @@ func TestExportReturnsUploadedIndex(t *testing.T) {
 	verify("after deleting everything")
 }
 
-// A match's Meta must be the index of the document it names. The scan
-// releases the shard lock before the τ-cut assembles results, so a Delete
-// in between swap-removes another document into the matched row: assembly
-// must look the row up again by document ID and drop a match whose
-// document is gone.
-func TestSearchMetaFollowsDocumentAcrossDeletes(t *testing.T) {
+// Every returned match names a stored document at its true rank, even while
+// a writer deletes and re-uploads documents: the scan reads each row's ID
+// under the shard lock that also guards the swap-remove, so a match can
+// never carry another row's identity. Checked per result: every DocID is a
+// stored ID, no ID repeats, and each rank equals the document's rank in a
+// quiesced copy of the store.
+func TestSearchRowIdentityAcrossDeletes(t *testing.T) {
 	o := sharedOwner(t)
-	srv, err := NewServerSharded(o.Params(), 1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	uploadCorpus(t, o, 64, 89, srv)
-	var stored []*SearchIndex
-	if err := srv.Export(func(si *SearchIndex, _ *EncryptedDocument) error {
-		stored = append(stored, si)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	meta := make(map[string]*bitindex.Vector, len(stored))
-	for _, si := range stored {
-		meta[si.DocID] = si.Levels[0]
-	}
+	for _, layout := range []struct{ shards, workers int }{{1, 1}, {4, 2}} {
+		t.Run(fmt.Sprintf("shards=%d/workers=%d", layout.shards, layout.workers), func(t *testing.T) {
+			srv, err := NewServerSharded(o.Params(), layout.shards, layout.workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			quiesced, err := NewServerSharded(o.Params(), 1, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			docs := uploadCorpus(t, o, 64, 89, srv, quiesced)
+			var stored []*SearchIndex
+			if err := srv.Export(func(si *SearchIndex, _ *EncryptedDocument) error {
+				stored = append(stored, si)
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
 
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
+			u := newUserFor(t, o, fmt.Sprintf("row-identity-%d", layout.shards))
+			u.SeedQueryRNG(61)
+			queries := []*bitindex.Vector{bitindex.NewOnes(o.Params().R)} // matches every document
+			for _, d := range docs[:3] {
+				words := d.Keywords()[:1]
+				fetchTrapdoors(t, o, u, words)
+				q, err := u.BuildQuery(words)
+				if err != nil {
+					t.Fatal(err)
+				}
+				queries = append(queries, q)
 			}
-			si := stored[i%len(stored)]
-			if err := srv.Delete(si.DocID); err != nil {
-				t.Error(err)
-				return
+			wantRank := make([]map[string]int, len(queries))
+			for qi, q := range queries {
+				ref, err := quiesced.SearchTop(q, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				wantRank[qi] = make(map[string]int, len(ref))
+				for _, m := range ref {
+					wantRank[qi][m.DocID] = m.Rank
+				}
 			}
-			if err := srv.Upload(si, &EncryptedDocument{ID: si.DocID, Ciphertext: []byte(si.DocID), EncKey: []byte{1}}); err != nil {
-				t.Error(err)
-				return
+
+			stop := make(chan struct{})
+			var wg sync.WaitGroup
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; ; i++ {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					si := stored[i%len(stored)]
+					if err := srv.Delete(si.DocID); err != nil {
+						t.Error(err)
+						return
+					}
+					if err := srv.Upload(si, &EncryptedDocument{ID: si.DocID, Ciphertext: []byte(si.DocID), EncKey: []byte{1}}); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}()
+			defer func() {
+				close(stop)
+				wg.Wait()
+			}()
+			total := 0
+			for i := 0; i < 400; i++ {
+				qi := i % len(queries)
+				ms, err := srv.SearchTop(queries[qi], 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				seen := make(map[string]bool, len(ms))
+				for _, m := range ms {
+					total++
+					if seen[m.DocID] {
+						t.Fatalf("query %d: %q returned twice in one result", qi, m.DocID)
+					}
+					seen[m.DocID] = true
+					want, ok := wantRank[qi][m.DocID]
+					if !ok {
+						t.Fatalf("query %d: %q is not a stored document the query matches", qi, m.DocID)
+					}
+					if m.Rank != want {
+						t.Fatalf("query %d: %q at rank %d, want %d", qi, m.DocID, m.Rank, want)
+					}
+				}
 			}
-		}
-	}()
-	q := bitindex.NewOnes(o.Params().R) // no zero bits: matches every document
-	wrong, total := 0, 0
-	for i := 0; i < 400; i++ {
-		ms, err := srv.SearchTop(q, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, m := range ms {
-			total++
-			if !m.Meta.Equal(meta[m.DocID]) {
-				wrong++
+			if total == 0 {
+				t.Fatal("no search returned a match")
 			}
-		}
-	}
-	close(stop)
-	wg.Wait()
-	if wrong > 0 {
-		t.Fatalf("%d of %d matches carried another document's Meta", wrong, total)
+		})
 	}
 }
 

@@ -57,12 +57,34 @@ type EncryptedDocument struct {
 	EncKey     []byte // textbook-RSA encryption of the document key
 }
 
-// Match is one search hit returned by the server: the document ID, the rank
-// assigned by Algorithm 1 (highest matching level, ≥ 1), and the document's
-// level-1 index — the "metadata" the user may analyze further; it "does not
-// contain useful information about the content" (Section 3, footnote 2).
+// Match is one search hit: the document ID and the rank assigned by
+// Algorithm 1 (highest matching level, ≥ 1). It is the one result type from
+// the shard heap to the user; the wire and the client alias it. The paper
+// also returns each match's level-1 index as "metadata" (Section 3,
+// footnote 2), but no user consumes it — it holds the very bits the server
+// already tested — so it is neither gathered nor sent.
 type Match struct {
 	DocID string
 	Rank  int
-	Meta  *bitindex.Vector
+}
+
+// Before is the global result order, defined here once for the per-shard
+// heaps, the τ-cut sort and the cluster merge: m comes before o when it
+// has the higher rank, ties broken by the smaller document ID.
+func (m Match) Before(o Match) bool {
+	if m.Rank != o.Rank {
+		return m.Rank > o.Rank
+	}
+	return m.DocID < o.DocID
+}
+
+// compare is Before as a three-way comparison, for slices.SortFunc.
+func (m Match) compare(o Match) int {
+	switch {
+	case m.Before(o):
+		return -1
+	case o.Before(m):
+		return 1
+	}
+	return 0
 }

@@ -7,7 +7,6 @@ import (
 	"runtime"
 	"slices"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -34,20 +33,18 @@ var ErrNotFound = errors.New("no such document")
 // touching different shards never contend. Search fans the query out across
 // shards with a bounded worker pool: every shard runs the Equation-3 match
 // kernel over its own indices and keeps a local bounded top-τ heap keyed on
-// (rank, docID); the per-shard winners are merged, cut to τ, and only the
-// survivors' level-1 metadata is copied out. Binary-comparison cost
+// (rank, docID); the per-shard winners are merged and cut to τ, and the
+// cut is the result, copied out once. Binary-comparison cost
 // accounting is batched into one atomic add per shard per query. For any
 // fixed store state, results are identical — order included — to a
 // sequential scan followed by a full (rank desc, docID asc) sort, whatever
 // the shard and worker counts. Consistency under concurrent writes is
-// per-shard, not global: a search overlapping in-flight uploads may observe
-// a later upload while missing an earlier one on a different shard. A
-// returned match's Meta vector is looked up by document ID at
-// result-assembly time, so for a document replaced mid-search it may be
-// newer than the index that matched, and a match whose document was deleted
-// after its shard was scanned is dropped (the pre-sharding single lock made
-// every search a point-in-time snapshot; Export retains that guarantee by
-// locking all shards at once).
+// per-shard, not global: a search overlapping in-flight writes sees each
+// shard as it was when that shard was scanned, so it may observe a later
+// upload while missing an earlier one on a different shard, and it returns
+// a match whose document was deleted after its shard was scanned (the
+// pre-sharding single lock made every search a point-in-time snapshot;
+// Export retains that guarantee by locking all shards at once).
 //
 // # Word-major index arenas and the zero-word-skipping kernel
 //
@@ -114,8 +111,8 @@ type ScanObserverFunc func(ctx context.Context, start time.Time, d time.Duration
 //
 // Every ranking level is stored word-major: cols[l][w][row] is word w of
 // row's level-(l+1) index. The level-1 screen sweeps cols[0] with the blocked
-// kernel, the level walk reads single rows of cols[1:], and metadata copies
-// and Export gather rows back into vectors.
+// kernel, the level walk reads single rows of cols[1:], and Export gathers
+// rows back into vectors.
 type shard struct {
 	mu   sync.RWMutex
 	byID map[string]int // docID → row
@@ -322,33 +319,15 @@ func (s *Server) NumDocuments() int {
 	return n
 }
 
-// candidate is a match that survived a shard scan: its rank, document ID and
-// shard. Its level-1 metadata is gathered only if it survives the global
-// τ-cut.
-type candidate struct {
-	rank int
-	id   string
-	sh   *shard
-}
-
-// worse orders candidates worst-first: lower rank, ties broken by larger
-// document ID (the final output is rank descending, docID ascending).
-func (c candidate) worse(o candidate) bool {
-	if c.rank != o.rank {
-		return c.rank < o.rank
-	}
-	return c.id > o.id
-}
-
-// topTau accumulates match candidates. With limit > 0 it is a bounded
-// min-heap (worst kept candidate at the root) holding the τ best seen so
-// far; with limit <= 0 it collects everything.
+// topTau accumulates the matches of one shard scan. With limit > 0 it is a
+// bounded heap with the last kept match in Match.Before order at the root,
+// holding the τ first seen so far; with limit <= 0 it collects everything.
 type topTau struct {
 	limit int
-	c     []candidate
+	c     []Match
 }
 
-func (h *topTau) add(c candidate) {
+func (h *topTau) add(c Match) {
 	if h.limit <= 0 {
 		h.c = append(h.c, c)
 		return
@@ -359,7 +338,7 @@ func (h *topTau) add(c candidate) {
 		i := len(h.c) - 1
 		for i > 0 {
 			parent := (i - 1) / 2
-			if !h.c[i].worse(h.c[parent]) {
+			if !h.c[parent].Before(h.c[i]) {
 				break
 			}
 			h.c[i], h.c[parent] = h.c[parent], h.c[i]
@@ -367,8 +346,8 @@ func (h *topTau) add(c candidate) {
 		}
 		return
 	}
-	if !h.c[0].worse(c) {
-		return // incoming candidate is no better than the worst kept
+	if !c.Before(h.c[0]) {
+		return // incoming match comes no earlier than the last kept
 	}
 	// Replace the root and sift down.
 	h.c[0] = c
@@ -376,10 +355,10 @@ func (h *topTau) add(c candidate) {
 	for {
 		l, r := 2*i+1, 2*i+2
 		min := i
-		if l < len(h.c) && h.c[l].worse(h.c[min]) {
+		if l < len(h.c) && h.c[min].Before(h.c[l]) {
 			min = l
 		}
-		if r < len(h.c) && h.c[r].worse(h.c[min]) {
+		if r < len(h.c) && h.c[min].Before(h.c[r]) {
 			min = r
 		}
 		if min == i {
@@ -397,7 +376,7 @@ type scanScratch struct {
 	qs      []*bitindex.Sparse // pointers into sparse, what the kernels take
 	workers []workerScratch    // one per concurrent shard scanner
 	heaps   []topTau           // per-shard × per-query heaps, flat
-	cands   []candidate        // merge buffer for the global τ-cut
+	cands   []Match            // merge buffer for the global τ-cut
 	qbuf    []*bitindex.Vector // one-query wrapper for SearchTop
 	out     [][]Match          // one-query result wrapper for SearchTop
 	wg      sync.WaitGroup     // parallel-scan barrier, reused across searches
@@ -480,22 +459,8 @@ func (sh *shard) walkLevelsAt(q *bitindex.Sparse, row int, heap *topTau) int64 {
 		}
 		rank++
 	}
-	heap.add(candidate{rank: rank, id: sh.ids[row], sh: sh})
+	heap.add(Match{DocID: sh.ids[row], Rank: rank})
 	return cmps
-}
-
-// metaVector copies docID's level-1 index out of the arena as a fresh
-// vector. The scan released the shard lock before the τ-cut, so a Delete may
-// have swap-removed another document into the row the scan matched: the row
-// is looked up again by ID, and nil is returned if the document is gone.
-func (sh *shard) metaVector(docID string, nbits int) *bitindex.Vector {
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	row, ok := sh.byID[docID]
-	if !ok {
-		return nil
-	}
-	return bitindex.FromColumns(nbits, sh.cols[0], row)
 }
 
 // searchSharded fans qs out across shards with the worker pool and merges
@@ -528,24 +493,13 @@ func (s *Server) searchSharded(sc *scanScratch, qs []*bitindex.Vector, tau int, 
 		for si := 0; si < len(s.shards); si++ {
 			cands = append(cands, sc.heaps[si*nq+qi].c...)
 		}
-		slices.SortFunc(cands, func(a, b candidate) int {
-			if a.rank != b.rank {
-				return b.rank - a.rank
-			}
-			return strings.Compare(a.id, b.id)
-		})
+		slices.SortFunc(cands, Match.compare)
 		if tau > 0 && tau < len(cands) {
 			cands = cands[:tau]
 		}
 		sc.cands = cands[:0]
-		ms := make([]Match, 0, len(cands))
-		for _, c := range cands {
-			if meta := c.sh.metaVector(c.id, s.params.R); meta != nil {
-				ms = append(ms, Match{DocID: c.id, Rank: c.rank, Meta: meta})
-			}
-		}
-		if len(ms) > 0 { // otherwise out[qi] stays nil, matching the sequential scan
-			out[qi] = ms
+		if len(cands) > 0 { // otherwise out[qi] stays nil, matching the sequential scan
+			out[qi] = slices.Clone(cands)
 		}
 	}
 }
@@ -628,8 +582,7 @@ func scanWorker(jobs <-chan scanJob, k, w int) {
 // matches ("the user can retrieve only the top τ matches where τ is chosen
 // by the user", Section 5) in descending rank order, ties broken by
 // document ID; τ ≤ 0 returns every match. Each shard retains at most τ
-// candidates per query, and only the global survivors' metadata vectors
-// are copied out of the arenas.
+// matches per query, and only the global survivors are copied out.
 //
 // ctx is the request context handed to the scan observer (ObserveScans),
 // once per batch, so a traced request's scan span lands in its trace. It

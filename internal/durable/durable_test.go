@@ -144,10 +144,11 @@ func queriesFor(rng *rand.Rand, p core.Params, ops []op) []*bitindex.Vector {
 }
 
 // searchFingerprint renders every query's full and top-5 results — IDs,
-// ranks and metadata bytes — into one string, the byte-identical-output
-// check of the recovery tests.
+// ranks and each matched document's stored index at every level — into one
+// string, the byte-identical-output check of the recovery tests.
 func searchFingerprint(t testing.TB, srv *core.Server, qs []*bitindex.Vector) string {
 	t.Helper()
+	levels := storedLevels(t, srv)
 	var b strings.Builder
 	for qi, q := range qs {
 		for _, tau := range []int{0, 5} {
@@ -157,16 +158,35 @@ func searchFingerprint(t testing.TB, srv *core.Server, qs []*bitindex.Vector) st
 			}
 			fmt.Fprintf(&b, "q%d tau%d:", qi, tau)
 			for _, m := range ms {
-				meta, err := m.Meta.MarshalBinary()
-				if err != nil {
-					t.Fatal(err)
-				}
-				fmt.Fprintf(&b, " %s/%d/%x", m.DocID, m.Rank, meta)
+				fmt.Fprintf(&b, " %s/%d/%s", m.DocID, m.Rank, levels[m.DocID])
 			}
 			b.WriteByte('\n')
 		}
 	}
 	return b.String()
+}
+
+// storedLevels reads every stored document's index — all levels, marshaled and
+// hex-encoded — in one Export pass, keyed by document ID.
+func storedLevels(t testing.TB, srv *core.Server) map[string]string {
+	t.Helper()
+	out := make(map[string]string)
+	err := srv.Export(func(si *core.SearchIndex, _ *core.EncryptedDocument) error {
+		var b strings.Builder
+		for _, l := range si.Levels {
+			raw, err := l.MarshalBinary()
+			if err != nil {
+				return err
+			}
+			fmt.Fprintf(&b, "%x;", raw)
+		}
+		out[si.DocID] = b.String()
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
 }
 
 // referenceServer applies ops to a fresh server in a deliberately different

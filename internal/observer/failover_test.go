@@ -127,10 +127,12 @@ func (n *node) kill() {
 	n.eng.Crash()
 }
 
-// fingerprint renders the node's results for a query set — IDs, ranks,
-// metadata bytes — into one string for byte-identical comparison.
+// fingerprint renders the node's results for a query set — IDs, ranks and
+// each matched document's stored index at every level — into one string for
+// byte-identical comparison.
 func fingerprint(t *testing.T, srv *core.Server, qs []*bitindex.Vector) string {
 	t.Helper()
+	levels := storedLevels(t, srv)
 	var b strings.Builder
 	for qi, q := range qs {
 		ms, err := srv.SearchTop(q, 0)
@@ -139,15 +141,34 @@ func fingerprint(t *testing.T, srv *core.Server, qs []*bitindex.Vector) string {
 		}
 		fmt.Fprintf(&b, "q%d:", qi)
 		for _, m := range ms {
-			meta, err := m.Meta.MarshalBinary()
-			if err != nil {
-				t.Fatal(err)
-			}
-			fmt.Fprintf(&b, " %s/%d/%x", m.DocID, m.Rank, meta)
+			fmt.Fprintf(&b, " %s/%d/%s", m.DocID, m.Rank, levels[m.DocID])
 		}
 		b.WriteByte('\n')
 	}
 	return b.String()
+}
+
+// storedLevels reads every stored document's index — all levels, marshaled and
+// hex-encoded — in one Export pass, keyed by document ID.
+func storedLevels(t *testing.T, srv *core.Server) map[string]string {
+	t.Helper()
+	out := make(map[string]string)
+	err := srv.Export(func(si *core.SearchIndex, _ *core.EncryptedDocument) error {
+		var b strings.Builder
+		for _, l := range si.Levels {
+			raw, err := l.MarshalBinary()
+			if err != nil {
+				return err
+			}
+			fmt.Fprintf(&b, "%x;", raw)
+		}
+		out[si.DocID] = b.String()
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
 }
 
 // queriesFor builds queries matching a sample of the first n documents.

@@ -84,6 +84,19 @@ func FuzzMessageDecode(f *testing.F) {
 			{Name: "scan"}, // truncated span: zero IDs must decode harmlessly
 		},
 	}))
+	// Every search travels as a SearchBatchReq and is answered with a
+	// SearchBatchResp: a two-query batch untraced and traced, and a reply
+	// with a nil slot and echoed spans.
+	batch := &SearchBatchRequest{Queries: [][]byte{{1, 2, 3}, {4, 5}}, TopK: 5}
+	f.Add(frame(f, &Message{SearchBatchReq: batch}))
+	f.Add(frame(f, &Message{
+		Trace:          &TraceContextWire{TraceHi: 0xdead, TraceLo: 0xbeef, SpanID: 7, Sampled: true},
+		SearchBatchReq: batch,
+	}))
+	f.Add(frame(f, &Message{
+		SearchBatchResp: &SearchBatchResponse{Results: [][]MatchWire{{{DocID: "d", Rank: 2}, {DocID: "e", Rank: 1}}, nil}},
+		Spans:           []SpanWire{{TraceHi: 1, TraceLo: 2, SpanID: 3, Name: "server:search"}, {Name: "scan"}},
+	}))
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 4, 1, 2})                   // length longer than payload
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0}) // absurd length prefix

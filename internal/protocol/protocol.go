@@ -156,6 +156,9 @@ const (
 	// partition map disagrees with the server's identity — a misconfigured
 	// cluster, which must fail loudly rather than fork the corpus.
 	CodeWrongPartition = "wrong-partition"
+	// CodeBatchTooLarge rejects a SearchBatchRequest carrying more than
+	// MaxBatchQueries queries. The sender must split the batch.
+	CodeBatchTooLarge = "batch-too-large"
 )
 
 // ErrorMsg reports a request failure. Code, when set, is one of the Code*
@@ -337,12 +340,11 @@ type SearchRequest struct {
 	TopK  int    // τ; 0 returns all matches
 }
 
-// MatchWire is one ranked hit.
-type MatchWire struct {
-	DocID string
-	Rank  int
-	Meta  []byte // marshaled level-1 index (the paper's metadata)
-}
+// MatchWire is one ranked hit: core.Match itself, sent as it left the scan.
+// Gob matches fields by name, so a peer whose match still declares the
+// paper's α·r-bit Meta field interoperates both ways: its Meta is skipped
+// on decode here and decodes as nil there.
+type MatchWire = core.Match
 
 // SearchResponse returns rank-ordered matches.
 type SearchResponse struct {
@@ -357,6 +359,14 @@ type SearchBatchRequest struct {
 	Queries [][]byte // marshaled bitindex vectors
 	TopK    int      // τ applied to every query; 0 returns all matches
 }
+
+// MaxBatchQueries bounds the queries one SearchBatchRequest may carry. A
+// cloud daemon rejects a larger batch with CodeBatchTooLarge before decoding
+// any query, and the client refuses to send one: without the bound a single
+// 64 MiB frame of 56-byte queries asks the server to decode about a million
+// vectors and gather every match of each before the reply could fail
+// MaxFrameSize.
+const MaxBatchQueries = 1024
 
 // SearchBatchResponse returns one rank-ordered match list per query, in
 // request order.

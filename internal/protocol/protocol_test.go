@@ -310,7 +310,7 @@ func TestSearchBatchMessageRoundTrip(t *testing.T) {
 	}
 	resp := &Message{SearchBatchResp: &SearchBatchResponse{
 		Results: [][]MatchWire{
-			{{DocID: "a", Rank: 3, Meta: []byte{9}}},
+			{{DocID: "a", Rank: 3}},
 			nil,
 		},
 	}}

@@ -271,11 +271,8 @@ func (c *Client) refreshEnrollmentLocked() error {
 	return c.user.RefreshEnrollment(rts)
 }
 
-// Match mirrors core.Match for remote results.
-type Match struct {
-	DocID string
-	Rank  int
-}
+// Match is one ranked search hit: core.Match, as the wire carries it.
+type Match = core.Match
 
 // Search builds a randomized query index for the keywords and submits it to
 // the cloud (step 2 of Figure 1), returning up to topK rank-ordered matches:
@@ -301,10 +298,14 @@ func (c *Client) TraceSearch(words []string, topK int) ([]Match, []trace.Span, e
 // SearchBatch builds one randomized query index per keyword set and submits
 // them all in a single round trip per partition; each cloud daemon
 // evaluates the batch in one sharded pass. Result i corresponds to
-// queries[i], each truncated to topK.
+// queries[i], each truncated to topK. A batch of more than
+// protocol.MaxBatchQueries keyword sets is refused before anything is sent.
 func (c *Client) SearchBatch(queries [][]string, topK int) ([][]Match, error) {
 	if len(queries) == 0 {
 		return nil, nil
+	}
+	if len(queries) > protocol.MaxBatchQueries {
+		return nil, fmt.Errorf("service: batch of %d queries exceeds the limit of %d", len(queries), protocol.MaxBatchQueries)
 	}
 	out, _, err := c.search(queries, topK, false)
 	return out, err

@@ -20,11 +20,11 @@ import (
 )
 
 // ResultCache is the query-result cache a cloud daemon may carry: query
-// fingerprint → the wire-encoded ranked matches it produced, validated
-// against the store's mutation epoch. A hit needs a byte-identical replay
-// of a query vector, which a correct client never sends — every query ANDs
-// in a fresh random decoy subset (see internal/qcache). Cached match slices
-// are shared across responses and must never be mutated.
+// fingerprint → the ranked matches it produced, validated against the
+// store's mutation epoch. A hit needs a byte-identical replay of a query
+// vector, which a correct client never sends — every query ANDs in a fresh
+// random decoy subset (see internal/qcache). Cached match slices are shared
+// across responses and must never be mutated.
 type ResultCache = qcache.Cache[[]protocol.MatchWire]
 
 // NewResultCache builds a query-result cache bounded to maxBytes (<= 0
@@ -376,6 +376,9 @@ func (s *CloudService) handleDelete(ctx context.Context, req *protocol.DeleteReq
 // handleSearch answers both search frames: a SearchBatchRequest directly
 // and a SearchRequest as a batch of one (searchOne).
 func (s *CloudService) handleSearch(ctx context.Context, m *protocol.Message) *protocol.Message {
+	if b := m.SearchBatchReq; b != nil && len(b.Queries) > protocol.MaxBatchQueries {
+		return errMsgCode(protocol.CodeBatchTooLarge, fmt.Errorf("cloud: batch of %d queries exceeds the limit of %d", len(b.Queries), protocol.MaxBatchQueries))
+	}
 	var resp protocol.Message
 	var err error
 	if m.SearchReq != nil {
@@ -390,13 +393,14 @@ func (s *CloudService) handleSearch(ctx context.Context, m *protocol.Message) *p
 	return &resp
 }
 
-// matchesToWire encodes ranked matches for the wire (and the cache).
+// matchesToWire is a scan result as the wire (and the cache) carries it:
+// the same slice, except that no matches is an empty slice, never nil —
+// SearchBatchWire reads a nil slot as one the cache did not answer.
 func matchesToWire(matches []core.Match) []protocol.MatchWire {
-	wire := make([]protocol.MatchWire, len(matches))
-	for i, m := range matches {
-		wire[i] = protocol.MatchWire{DocID: m.DocID, Rank: m.Rank, Meta: marshalVector(m.Meta)}
+	if matches == nil {
+		return []protocol.MatchWire{}
 	}
-	return wire
+	return matches
 }
 
 // wireSize is the cache-accounted payload of one result: the variable-length
@@ -404,7 +408,7 @@ func matchesToWire(matches []core.Match) []protocol.MatchWire {
 func wireSize(ms []protocol.MatchWire) int64 {
 	n := int64(0)
 	for i := range ms {
-		n += int64(len(ms[i].DocID)+len(ms[i].Meta)) + 48
+		n += int64(len(ms[i].DocID)) + 48
 	}
 	return n
 }
@@ -432,9 +436,9 @@ func (s *CloudService) searchOne(ctx context.Context, req *protocol.SearchReques
 //
 // With a Cache configured, the store's mutation epoch is read before the
 // scan and each query's fingerprint is looked up: hits skip the scan, the
-// misses go through one sharded core SearchBatch pass, and their encoded
-// results are stored at that epoch. Result slices may be shared with the
-// cache and other requests; callers must not mutate them.
+// misses go through one sharded core SearchBatch pass, and their results
+// are stored at that epoch. Result slices may be shared with the cache and
+// other requests; callers must not mutate them.
 //
 // When ctx carries a sampled trace, the lookups record one "qcache" span
 // (hits and misses counts) and the scan records its "scan" span through

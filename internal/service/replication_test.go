@@ -21,8 +21,8 @@ import (
 // The replication tests exercise log shipping, not cryptography: indices
 // are random valid vectors (as in the durable engine's own tests) fed
 // straight into the primary's engine, and convergence is judged by
-// byte-identical search output — IDs, ranks and metadata — between primary
-// and follower.
+// byte-identical search output — IDs, ranks and each matched document's
+// stored index at every level — between primary and follower.
 
 func replParams() core.Params {
 	p := core.DefaultParams()
@@ -73,10 +73,12 @@ func replQueries(rng *rand.Rand, p core.Params, indices []*core.SearchIndex) []*
 	return qs
 }
 
-// replFingerprint renders every query's results — IDs, ranks, metadata
-// bytes — into one string for byte-identical comparison across servers.
+// replFingerprint renders every query's results — IDs, ranks and each
+// matched document's stored index at every level — into one string for
+// byte-identical comparison across servers.
 func replFingerprint(t testing.TB, srv *core.Server, qs []*bitindex.Vector) string {
 	t.Helper()
+	levels := replStoredLevels(t, srv)
 	var b strings.Builder
 	for qi, q := range qs {
 		ms, err := srv.SearchTop(q, 0)
@@ -85,15 +87,34 @@ func replFingerprint(t testing.TB, srv *core.Server, qs []*bitindex.Vector) stri
 		}
 		fmt.Fprintf(&b, "q%d:", qi)
 		for _, m := range ms {
-			meta, err := m.Meta.MarshalBinary()
-			if err != nil {
-				t.Fatal(err)
-			}
-			fmt.Fprintf(&b, " %s/%d/%x", m.DocID, m.Rank, meta)
+			fmt.Fprintf(&b, " %s/%d/%s", m.DocID, m.Rank, levels[m.DocID])
 		}
 		b.WriteByte('\n')
 	}
 	return b.String()
+}
+
+// replStoredLevels reads every stored document's index — all levels, marshaled and
+// hex-encoded — in one Export pass, keyed by document ID.
+func replStoredLevels(t testing.TB, srv *core.Server) map[string]string {
+	t.Helper()
+	out := make(map[string]string)
+	err := srv.Export(func(si *core.SearchIndex, _ *core.EncryptedDocument) error {
+		var b strings.Builder
+		for _, l := range si.Levels {
+			raw, err := l.MarshalBinary()
+			if err != nil {
+				return err
+			}
+			fmt.Fprintf(&b, "%x;", raw)
+		}
+		out[si.DocID] = b.String()
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
 }
 
 // replPrimary is a durably backed cloud daemon serving its WAL.

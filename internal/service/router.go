@@ -440,20 +440,9 @@ func (c *Client) scatterSearchBatch(ctx context.Context, wire [][]byte, topK int
 				lists = append(lists, r.SearchBatchResp.Results[qi])
 			}
 		}
-		out[qi] = mergeMatches(lists, topK)
+		out[qi] = cluster.MergeWire(lists, topK)
 	}
 	return out, pe
-}
-
-// mergeMatches folds per-partition wire lists into the client's result type
-// under the global τ-cut.
-func mergeMatches(lists [][]protocol.MatchWire, topK int) []Match {
-	merged := cluster.MergeWire(lists, topK)
-	out := make([]Match, len(merged))
-	for i, m := range merged {
-		out[i] = Match{DocID: m.DocID, Rank: m.Rank}
-	}
-	return out
 }
 
 // scatterStats fetches one StatsResponse per partition, in partition order.

@@ -2,13 +2,17 @@ package service
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"fmt"
+	"math/rand"
 	"net"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 
+	"mkse/internal/bitindex"
 	"mkse/internal/core"
 	"mkse/internal/corpus"
 	"mkse/internal/durable"
@@ -746,5 +750,107 @@ func TestDurableCloudRecoveryOverTCP(t *testing.T) {
 	}
 	if got, want := eng2.Server().NumDocuments(), len(docs)-3; got != want {
 		t.Fatalf("recovered daemon holds %d documents, want %d", got, want)
+	}
+}
+
+// A batch of more than protocol.MaxBatchQueries queries is refused with a
+// typed error before any query is decoded: the oversized batch below holds
+// only malformed queries, which a decoding daemon would reject with an
+// untyped "malformed query" error instead. At exactly the limit the daemon
+// does decode, and that untyped error comes back.
+func TestOversizedBatchRejectedBeforeDecoding(t *testing.T) {
+	d := sharedDeployment(t)
+	conn, err := net.Dial("tcp", d.cloudAddr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	pc := protocol.NewConn(conn)
+	batch := func(n int) *protocol.Message {
+		qs := make([][]byte, n)
+		for i := range qs {
+			qs[i] = []byte{1, 2, 3}
+		}
+		return &protocol.Message{SearchBatchReq: &protocol.SearchBatchRequest{Queries: qs}}
+	}
+	var remote *protocol.RemoteError
+	_, err = pc.Roundtrip(batch(protocol.MaxBatchQueries + 1))
+	if !errors.As(err, &remote) || remote.Code != protocol.CodeBatchTooLarge {
+		t.Fatalf("oversized batch: got %v, want a %q rejection", err, protocol.CodeBatchTooLarge)
+	}
+	_, err = pc.Roundtrip(batch(protocol.MaxBatchQueries))
+	if !errors.As(err, &remote) || remote.Code != "" || !strings.Contains(remote.Text, "malformed query") {
+		t.Fatalf("batch at the limit: got %v, want the untyped malformed-query rejection", err)
+	}
+}
+
+// Client.SearchBatch refuses an oversized batch before it derives a query or
+// sends a frame: neither the user's nor the server's cost counters move.
+func TestClientRefusesOversizedBatch(t *testing.T) {
+	d := sharedDeployment(t)
+	client, err := Dial(freshUser("big-batch"), d.ownerAddr, d.cloudAddr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	queries := make([][]string, protocol.MaxBatchQueries+1)
+	for i := range queries {
+		queries[i] = d.docs[i%len(d.docs)].Keywords()[:1]
+	}
+	userBefore, serverBefore := client.User().Costs.Snapshot(), d.server.Costs.Snapshot()
+	if res, err := client.SearchBatch(queries, 5); err == nil || res != nil {
+		t.Fatalf("oversized batch: %d results, err %v; want a refusal", len(res), err)
+	}
+	if got := client.User().Costs.Snapshot(); got != userBefore {
+		t.Errorf("user costs moved on a refused batch: %+v, was %+v", got, userBefore)
+	}
+	if got := d.server.Costs.Snapshot(); got != serverBefore {
+		t.Errorf("server costs moved on a refused batch: %+v, was %+v", got, serverBefore)
+	}
+}
+
+// SearchBatchWire of one query, without a cache, allocates the request's
+// own bookkeeping and the core scan's result and nothing per match: the
+// matches core returns are the slice the frame carries, not copied or
+// marshaled on the way.
+func TestSearchBatchWireOfOneAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates on otherwise allocation-free paths")
+	}
+	p := replParams()
+	srv, err := core.NewServerSharded(p, 4, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(23))
+	var indices []*core.SearchIndex
+	for i := 0; i < 200; i++ {
+		id := fmt.Sprintf("doc-%03d", i)
+		si := replIndex(rng, p, id)
+		if err := srv.Upload(si, &core.EncryptedDocument{ID: id, Ciphertext: []byte(id), EncKey: []byte{1}}); err != nil {
+			t.Fatal(err)
+		}
+		indices = append(indices, si)
+	}
+	svc := &CloudService{Server: srv}
+	req := &protocol.SearchBatchRequest{Queries: [][]byte{marshalVector(bitindex.NewOnes(p.R))}, TopK: 5}
+	resp, err := svc.SearchBatchWire(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(resp.Results[0]); n != 5 {
+		t.Fatalf("all-ones query returned %d matches, want 5", n)
+	}
+	got := testing.AllocsPerRun(100, func() {
+		if _, err := svc.SearchBatchWire(context.Background(), req); err != nil {
+			t.Fatal(err)
+		}
+	})
+	// The response and its result list, the decoded query (vector and
+	// words) and the list of queries to scan, core's result list and the
+	// one copy of the τ-cut. A per-match cost would add at least five.
+	const budget = 7
+	if got > budget {
+		t.Errorf("SearchBatchWire of one with 5 matches allocates %.0f times, want <= %d", got, budget)
 	}
 }

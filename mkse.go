@@ -54,8 +54,6 @@ type (
 	Client = service.Client
 	// UploadItem pairs an index with its encrypted document for upload.
 	UploadItem = service.UploadItem
-	// RemoteMatch is a search hit returned over the wire.
-	RemoteMatch = service.Match
 )
 
 // Partitioned scatter-gather deployment types (internal/cluster).
