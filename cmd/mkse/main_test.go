@@ -9,12 +9,14 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"syscall"
 	"testing"
 	"time"
 
 	"mkse/internal/cluster"
 	"mkse/internal/core"
+	"mkse/internal/protocol"
 	"mkse/internal/service"
 	"mkse/internal/store"
 	"mkse/internal/trace"
@@ -64,6 +66,75 @@ func TestOwnerRejectsLevelsDisagreeingWithState(t *testing.T) {
 		}
 	case <-time.After(30 * time.Second):
 		t.Fatal("owner started serving despite -levels disagreeing with -state")
+	}
+}
+
+// TestOwnerPersistsEnrollmentBeforeReply: an enrollment the owner has
+// acknowledged is already in its -state file, so the owner dying before
+// its shutdown save does not forget the user. The file is read while the
+// daemon still runs, before any shutdown save.
+func TestOwnerPersistsEnrollmentBeforeReply(t *testing.T) {
+	state := filepath.Join(t.TempDir(), "owner.state")
+	addr := freeAddr(t)
+	done := make(chan int, 1)
+	go func() { done <- run([]string{"owner", "-state", state, "-listen", addr, "-log-level", "error"}) }()
+	waitListening(t, addr)
+	defer func() {
+		if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case code := <-done:
+			if code != 0 {
+				t.Errorf("owner exited %d after SIGTERM, want 0", code)
+			}
+		case <-time.After(30 * time.Second):
+			t.Fatal("owner did not stop on SIGTERM")
+		}
+	}()
+
+	key, err := core.NewSigningKey(core.DefaultParams().RSABits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Several users enroll at once, so their saves race each other.
+	users := []string{"durable-0", "durable-1", "durable-2", "durable-3"}
+	var wg sync.WaitGroup
+	for _, id := range users {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			conn, err := net.Dial("tcp", addr)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer conn.Close()
+			resp, err := protocol.NewConn(conn).Roundtrip(&protocol.Message{EnrollReq: &protocol.EnrollRequest{
+				UserID: id, UserPub: protocol.FromPublicKey(key.Public()),
+			}})
+			if err != nil || resp.EnrollResp == nil {
+				t.Errorf("enroll %s: resp %+v, err %v", id, resp, err)
+			}
+		}()
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	restored, err := store.LoadOwnerFile(state)
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg := []byte("after a crash")
+	sig, err := key.Sign(msg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range users {
+		if err := restored.VerifyUser(id, msg, sig); err != nil {
+			t.Errorf("acknowledged enrollment missing from the state file: %v", err)
+		}
 	}
 }
 

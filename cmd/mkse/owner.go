@@ -3,11 +3,11 @@ package main
 import (
 	"flag"
 	"fmt"
-	"maps"
 	"net"
 	"os"
 	"path/filepath"
 	"slices"
+	"sync"
 
 	"mkse/internal/cluster"
 	"mkse/internal/core"
@@ -59,7 +59,7 @@ func ownerCmd(fs *flag.FlagSet) func() error {
 		defer d.close()
 		logger := d.logger
 		if owner != nil {
-			logger.Info("restored owner state", "path", *state, "epoch", owner.Epoch())
+			logger.Info("restored owner state", "path", *state)
 		} else if owner, err = core.NewOwner(p, *seed); err != nil {
 			return err
 		}
@@ -69,16 +69,6 @@ func ownerCmd(fs *flag.FlagSet) func() error {
 			return err
 		}
 		logger.Info("indexing documents", "documents", len(docs), "eta", owner.Params().Eta())
-		// Register the observed keyword universe so clients may use vector-mode
-		// trapdoors (§4.2's alternative delivery).
-		dictSet := make(map[string]bool)
-		for _, doc := range docs {
-			for w := range doc.TermFreqs {
-				dictSet[w] = true
-			}
-		}
-		owner.RegisterDictionary(slices.Collect(maps.Keys(dictSet)))
-
 		indices, err := owner.BuildIndexes(docs, 0)
 		if err != nil {
 			return fmt.Errorf("indexing: %w", err)
@@ -97,10 +87,15 @@ func ownerCmd(fs *flag.FlagSet) func() error {
 			}
 			logger.Info("uploaded documents", "documents", len(items), "cloud", topo.String())
 		}
+		// Enrollments save concurrently with each other and with the
+		// shutdown save; saveMu keeps one writer on the file at a time.
+		var saveMu sync.Mutex
 		saveState := func() error {
 			if *state == "" {
 				return nil
 			}
+			saveMu.Lock()
+			defer saveMu.Unlock()
 			if err := store.SaveOwnerFile(*state, owner); err != nil {
 				return fmt.Errorf("saving state: %w", err)
 			}
@@ -111,7 +106,7 @@ func ownerCmd(fs *flag.FlagSet) func() error {
 			return err
 		}
 
-		svc := &service.OwnerService{Owner: owner, Logger: logger, Tracer: d.tracer("owner")}
+		svc := &service.OwnerService{Owner: owner, Logger: logger, Tracer: d.tracer("owner"), Persist: saveState}
 		d.logTracing("request")
 		if err := d.startSidecar(func() telemetry.Health { return telemetry.Health{Ready: true, Role: "owner"} }, nil); err != nil {
 			return err

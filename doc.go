@@ -21,8 +21,9 @@
 // A keyword's index depends only on the keyword and its bin key, so each
 // is derived once per key: the owner derives each distinct keyword of an
 // index batch once (core.Owner.BuildIndexes) and keeps nothing after the
-// batch, and a user memoizes the trapdoors it derives until the key epoch
-// changes or a bin's key is replaced (core.User.Trapdoor).
+// batch, and a user memoizes the trapdoors it derives until a bin's key is
+// replaced (core.User.Trapdoor). The owner's bin keys are fixed for its
+// lifetime; the paper's key rotation (Section 4.3) is not implemented.
 //
 // # Server engine
 //

@@ -73,9 +73,9 @@ func NewSeededKeySet(bins int, seed int64) (*KeySet, error) {
 	return ks, nil
 }
 
-// NewKeySetFromKeys wraps externally supplied keys (e.g. keys received from
-// the data owner in a trapdoor response, or restored from storage). The
-// slice is retained; callers must not mutate it afterwards.
+// NewKeySetFromKeys wraps externally supplied keys (an owner's keys restored
+// from storage). The slice is retained; callers must not mutate it
+// afterwards.
 func NewKeySetFromKeys(keys [][]byte) (*KeySet, error) {
 	if len(keys) == 0 {
 		return nil, fmt.Errorf("bins: empty key set")
@@ -105,38 +105,6 @@ func (ks *KeySet) KeyFor(word string) []byte {
 	return ks.keys[GetBin(word, len(ks.keys))]
 }
 
-// KeysFor returns the deduplicated bin IDs and corresponding keys for a set
-// of keywords, in first-seen order. This is exactly the owner's reply to a
-// trapdoor request: "the secret keys of the bins requested for" (Section
-// 4.2). If two query keywords share a bin only one (ID, key) pair is
-// returned, matching the communication-cost note in Section 8.
-func (ks *KeySet) KeysFor(words []string) (binIDs []int, keys [][]byte) {
-	seen := make(map[int]bool, len(words))
-	for _, w := range words {
-		b := GetBin(w, len(ks.keys))
-		if !seen[b] {
-			seen[b] = true
-			binIDs = append(binIDs, b)
-			keys = append(keys, ks.keys[b])
-		}
-	}
-	return binIDs, keys
-}
-
-// Subset returns a partial key set that contains keys only for the listed
-// bins — the view an authorized user holds after a trapdoor exchange. Bins
-// the user never asked about have nil keys; querying a keyword from such a
-// bin is an error surfaced by PartialKeyFor.
-func (ks *KeySet) Subset(binIDs []int) *KeySet {
-	sub := &KeySet{keys: make([][]byte, len(ks.keys))}
-	for _, b := range binIDs {
-		if b >= 0 && b < len(ks.keys) {
-			sub.keys[b] = ks.keys[b]
-		}
-	}
-	return sub
-}
-
 // PartialKeyFor returns the key for the keyword's bin, or an error if this
 // (partial) key set does not hold that bin's key.
 func (ks *KeySet) PartialKeyFor(word string) ([]byte, error) {
@@ -157,20 +125,6 @@ func (ks *KeySet) SetKey(bin int, key []byte) error {
 		return fmt.Errorf("bins: empty key for bin %d", bin)
 	}
 	ks.keys[bin] = key
-	return nil
-}
-
-// Merge copies every non-nil key from other into ks, accumulating trapdoor
-// material across multiple exchanges with the owner. Bin counts must agree.
-func (ks *KeySet) Merge(other *KeySet) error {
-	if len(ks.keys) != len(other.keys) {
-		return fmt.Errorf("bins: bin count mismatch %d != %d", len(ks.keys), len(other.keys))
-	}
-	for i, k := range other.keys {
-		if k != nil {
-			ks.keys[i] = k
-		}
-	}
 	return nil
 }
 

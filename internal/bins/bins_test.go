@@ -94,43 +94,26 @@ func TestKeyForConsistency(t *testing.T) {
 	}
 }
 
-func TestKeysForDeduplicates(t *testing.T) {
-	ks, err := NewKeySet(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// With 4 bins and many words, duplicates are guaranteed.
-	words := []string{"a", "b", "c", "d", "e", "f", "g", "h", "i", "j"}
-	ids, keys := ks.KeysFor(words)
-	if len(ids) != len(keys) {
-		t.Fatalf("ids/keys length mismatch: %d vs %d", len(ids), len(keys))
-	}
-	if len(ids) > 4 {
-		t.Errorf("more distinct ids (%d) than bins (4)", len(ids))
-	}
-	seen := make(map[int]bool)
-	for _, id := range ids {
-		if seen[id] {
-			t.Errorf("duplicate bin id %d in reply", id)
-		}
-		seen[id] = true
-	}
-	// Each returned key matches its bin.
-	for i, id := range ids {
-		if !bytes.Equal(keys[i], ks.Key(id)) {
-			t.Errorf("key %d does not match bin %d", i, id)
-		}
-	}
-}
-
 func TestSubsetAndPartialKeyFor(t *testing.T) {
 	ks, err := NewKeySet(32)
 	if err != nil {
 		t.Fatal(err)
 	}
 	words := []string{"alpha", "beta"}
-	ids, _ := ks.KeysFor(words)
-	sub := ks.Subset(ids)
+	// The user's partial view after one trapdoor exchange: the keys of the
+	// requested bins only.
+	sub, err := EmptyKeySet(32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ids []int
+	for _, w := range words {
+		b := GetBin(w, 32)
+		ids = append(ids, b)
+		if err := sub.SetKey(b, ks.Key(b)); err != nil {
+			t.Fatal(err)
+		}
+	}
 
 	for _, w := range words {
 		k, err := sub.PartialKeyFor(w)
@@ -159,49 +142,6 @@ func TestSubsetAndPartialKeyFor(t *testing.T) {
 		}
 	}
 	t.Skip("could not find keyword outside requested bins")
-}
-
-func TestSubsetIgnoresOutOfRangeBins(t *testing.T) {
-	ks, err := NewKeySet(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sub := ks.Subset([]int{-1, 99, 2})
-	if sub.keys[2] == nil {
-		t.Error("valid bin not copied")
-	}
-}
-
-func TestMerge(t *testing.T) {
-	ks, err := NewKeySet(16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	user, err := EmptyKeySet(16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ids1, _ := ks.KeysFor([]string{"one"})
-	ids2, _ := ks.KeysFor([]string{"two"})
-	if err := user.Merge(ks.Subset(ids1)); err != nil {
-		t.Fatal(err)
-	}
-	if err := user.Merge(ks.Subset(ids2)); err != nil {
-		t.Fatal(err)
-	}
-	for _, w := range []string{"one", "two"} {
-		if _, err := user.PartialKeyFor(w); err != nil {
-			t.Errorf("after merge, no key for %q: %v", w, err)
-		}
-	}
-}
-
-func TestMergeBinCountMismatch(t *testing.T) {
-	a, _ := EmptyKeySet(4)
-	b, _ := EmptyKeySet(8)
-	if err := a.Merge(b); err == nil {
-		t.Error("merge with mismatched bin counts succeeded")
-	}
 }
 
 func TestNewSeededKeySetDeterministic(t *testing.T) {

@@ -724,212 +724,6 @@ func TestFetchUnknownDocument(t *testing.T) {
 	}
 }
 
-func TestRotateBinKeysInvalidatesOldIndexes(t *testing.T) {
-	p := DefaultParams()
-	p.Bins = 16
-	o, err := NewOwner(p, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := o.Trapdoor("word")
-	if o.Epoch() != 1 {
-		t.Errorf("fresh owner epoch = %d, want 1", o.Epoch())
-	}
-	if err := o.RotateBinKeys(); err != nil {
-		t.Fatal(err)
-	}
-	after := o.Trapdoor("word")
-	if before.Equal(after) {
-		t.Error("trapdoor unchanged after key rotation")
-	}
-	if o.Epoch() != 2 {
-		t.Errorf("epoch after rotation = %d, want 2", o.Epoch())
-	}
-}
-
-// Trapdoor expiry (§4.3): after rotation, a user observing the new epoch
-// discards cached material and re-requests; the refreshed trapdoors work
-// against re-built indices, while the stale ones no longer match.
-func TestEpochExpiryFlow(t *testing.T) {
-	p := DefaultParams()
-	p.Bins = 16
-	o, err := NewOwner(p, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	server, err := NewServer(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	doc := &corpus.Document{ID: "d", TermFreqs: map[string]int{"omega": 3}, Content: []byte("x")}
-	u := newUserFor(t, o, "epoch-user")
-	u.SeedQueryRNG(9)
-
-	upload := func() {
-		si, enc, err := o.Prepare(doc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := server.Upload(si, enc); err != nil {
-			t.Fatal(err)
-		}
-	}
-	refresh := func() {
-		ids := u.BinIDs([]string{"omega"})
-		keys, err := o.TrapdoorKeys(ids)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := u.InstallTrapdoorKeys(ids, keys); err != nil {
-			t.Fatal(err)
-		}
-	}
-	upload()
-	refresh()
-	staleQ, err := u.BuildQuery([]string{"omega"})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Rotate; owner re-indexes and re-uploads (replacing the stored index).
-	if err := o.RotateBinKeys(); err != nil {
-		t.Fatal(err)
-	}
-	upload()
-
-	// The pre-rotation query almost surely no longer matches.
-	if ms, err := server.SearchTop(staleQ, 0); err != nil {
-		t.Fatal(err)
-	} else if len(ms) != 0 {
-		t.Log("note: stale query matched by chance (false accept)")
-	}
-
-	// User observes the new epoch, caches flush, trapdoor gone.
-	expired, err := u.ObserveEpoch(o.Epoch())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !expired {
-		t.Fatal("epoch change not detected")
-	}
-	if u.HasTrapdoorFor("omega") {
-		t.Fatal("expired trapdoor material survived ObserveEpoch")
-	}
-	if again, err := u.ObserveEpoch(o.Epoch()); err != nil || again {
-		t.Fatalf("repeated ObserveEpoch: expired=%v err=%v", again, err)
-	}
-
-	// Refresh the enrollment package (decoy trapdoors also expired) and the
-	// bin keys, then search again: must match at rank >= 1.
-	if err := u.RefreshEnrollment(o.RandomTrapdoors()); err != nil {
-		t.Fatal(err)
-	}
-	refresh()
-	q, err := u.BuildQuery([]string{"omega"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ms, err := server.SearchTop(q, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ms) == 0 || ms[0].DocID != "d" {
-		t.Fatalf("refreshed query failed: %v", ms)
-	}
-}
-
-// Vector-mode trapdoors (§4.2 alternative): the owner ships per-keyword
-// vectors; the user hashes nothing and the bin secret never leaves the
-// owner, yet queries behave identically.
-func TestVectorModeTrapdoors(t *testing.T) {
-	o := sharedOwner(t)
-	dict := []string{"vm-alpha", "vm-beta", "vm-gamma", "vm-delta"}
-	o.RegisterDictionary(dict)
-
-	u := newUserFor(t, o, "vector-user")
-	u.SeedQueryRNG(11)
-	binIDs := u.BinIDs([]string{"vm-alpha", "vm-beta"})
-	vs, err := o.TrapdoorVectors(binIDs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := vs["vm-alpha"]; !ok {
-		t.Fatal("requested keyword's vector missing from response")
-	}
-	if err := u.InstallTrapdoorVectors(vs); err != nil {
-		t.Fatal(err)
-	}
-	if !u.HasTrapdoorFor("vm-alpha") {
-		t.Fatal("vector-mode trapdoor not visible to HasTrapdoorFor")
-	}
-	// The user's trapdoor equals the owner's, with zero hash ops spent.
-	u.Costs.Reset()
-	td, err := u.Trapdoor("vm-alpha")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !td.Equal(o.Trapdoor("vm-alpha")) {
-		t.Error("vector-mode trapdoor differs from owner's computation")
-	}
-	if got := u.Costs.Snapshot().HashOps; got != 0 {
-		t.Errorf("vector mode spent %d hash ops, want 0", got)
-	}
-	// Queries built from vectors match documents like key-mode queries.
-	server, err := NewServer(o.Params())
-	if err != nil {
-		t.Fatal(err)
-	}
-	doc := &corpus.Document{ID: "vm-doc", TermFreqs: map[string]int{"vm-alpha": 2, "vm-beta": 7}}
-	si, enc, err := o.Prepare(doc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := server.Upload(si, enc); err != nil {
-		t.Fatal(err)
-	}
-	q, err := u.BuildQuery([]string{"vm-alpha", "vm-beta"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ms, err := server.SearchTop(q, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ms) == 0 || ms[0].DocID != "vm-doc" {
-		t.Fatalf("vector-mode query failed: %v", ms)
-	}
-}
-
-func TestTrapdoorVectorsRequireDictionary(t *testing.T) {
-	p := DefaultParams()
-	p.Bins = 8
-	o, err := NewOwner(p, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := o.TrapdoorVectors([]int{0}); err == nil {
-		t.Error("vector mode served without a dictionary")
-	}
-	o.RegisterDictionary([]string{"w"})
-	if _, err := o.TrapdoorVectors([]int{99}); err == nil {
-		t.Error("out-of-range bin accepted")
-	}
-}
-
-func TestInstallTrapdoorVectorsValidation(t *testing.T) {
-	o := sharedOwner(t)
-	u := newUserFor(t, o, "vector-validator")
-	if err := u.InstallTrapdoorVectors(nil); err != nil {
-		t.Fatalf("empty install failed: %v", err)
-	}
-	if err := u.InstallTrapdoorVectors(map[string]*bitindex.Vector{"x": nil}); err == nil {
-		t.Error("nil vector accepted")
-	}
-	if err := u.InstallTrapdoorVectors(map[string]*bitindex.Vector{"x": bitindex.New(8)}); err == nil {
-		t.Error("wrong-length vector accepted")
-	}
-}
-
 func TestNewOwnerDeterministicReproducible(t *testing.T) {
 	p := DefaultParams()
 	p.Bins = 8
@@ -1012,33 +806,6 @@ func TestServerAccessors(t *testing.T) {
 	sentinel := fmt.Errorf("stop")
 	if err := server.Export(func(*SearchIndex, *EncryptedDocument) error { return sentinel }); err != sentinel {
 		t.Errorf("Export did not propagate the callback error: %v", err)
-	}
-}
-
-func TestBuildQueryPlainDeterministic(t *testing.T) {
-	o := sharedOwner(t)
-	u := newUserFor(t, o, "plain-query-user")
-	fetchTrapdoors(t, o, u, []string{"plain-a", "plain-b"})
-	q1, err := u.BuildQueryPlain([]string{"plain-a", "plain-b"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	q2, err := u.BuildQueryPlain([]string{"plain-a", "plain-b"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !q1.Equal(q2) {
-		t.Error("plain queries are not deterministic")
-	}
-	want := o.Trapdoor("plain-a").And(o.Trapdoor("plain-b"))
-	if !q1.Equal(want) {
-		t.Error("plain query is not the AND of the trapdoors")
-	}
-	if _, err := u.BuildQueryPlain(nil); err == nil {
-		t.Error("empty plain query accepted")
-	}
-	if u.KeyEpoch() != 1 {
-		t.Errorf("fresh user epoch = %d, want 1", u.KeyEpoch())
 	}
 }
 

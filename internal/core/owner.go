@@ -23,7 +23,7 @@ import (
 // is safe for concurrent use.
 type Owner struct {
 	params  Params
-	binKeys *bins.KeySet
+	binKeys *bins.KeySet // fixed for the owner's lifetime, so read without mu
 	rsaKey  *blindrsa.PrivateKey
 
 	randomWords     []string           // the U non-dictionary keywords of Section 6
@@ -33,8 +33,6 @@ type Owner struct {
 	mu      sync.Mutex
 	docKeys map[string][]byte              // docID → symmetric key
 	users   map[string]*blindrsa.PublicKey // authorized users' signature keys
-	epoch   int64                          // bumped by RotateBinKeys (§4.3 trapdoor expiry)
-	binDict map[int][]string               // bin → dictionary words, for vector-mode trapdoors
 
 	// Costs tallies the owner-side operation counts of Table 2.
 	Costs costs.Counters
@@ -81,16 +79,21 @@ func newOwner(p Params, binKeys *bins.KeySet, randomSeed int64) (*Owner, error) 
 		rsaKey:  rsaKey,
 		docKeys: make(map[string][]byte),
 		users:   make(map[string]*blindrsa.PublicKey),
-		epoch:   1,
 	}
-	o.randomWords = corpus.RandomKeywords(p.U, randomSeed)
-	o.randomTrapdoors = make([]*bitindex.Vector, p.U)
-	o.randomAll = bitindex.NewOnes(p.R)
-	for i, w := range o.randomWords {
+	o.setRandomWords(corpus.RandomKeywords(p.U, randomSeed))
+	return o, nil
+}
+
+// setRandomWords installs the U decoy keywords and derives their trapdoors
+// and the AND of all of them.
+func (o *Owner) setRandomWords(words []string) {
+	o.randomWords = words
+	o.randomTrapdoors = make([]*bitindex.Vector, len(words))
+	o.randomAll = bitindex.NewOnes(o.params.R)
+	for i, w := range words {
 		o.randomTrapdoors[i] = o.keywordIndex(w)
 		o.randomAll.AndInto(o.randomTrapdoors[i])
 	}
-	return o, nil
 }
 
 // Params returns the scheme parameters.
@@ -116,21 +119,8 @@ func (o *Owner) RandomTrapdoors() []*bitindex.Vector {
 // same computation on the owner (index generation) and user (query
 // generation) sides.
 func (o *Owner) keywordIndex(w string) *bitindex.Vector {
-	return o.keywordIndexUnder(o.keySet(), w)
-}
-
-// keySet returns the current bin keys; rotation swaps the pointer, so a
-// caller that derives many keywords reads it once and derives them all under
-// one key epoch.
-func (o *Owner) keySet() *bins.KeySet {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return o.binKeys
-}
-
-func (o *Owner) keywordIndexUnder(ks *bins.KeySet, w string) *bitindex.Vector {
 	o.Costs.HashOps.Add(1)
-	return bitindex.Reduce(kdf.ExpandString(ks.KeyFor(w), w, o.params.HMACBytes()), o.params.R, o.params.D)
+	return bitindex.Reduce(kdf.ExpandString(o.binKeys.KeyFor(w), w, o.params.HMACBytes()), o.params.R, o.params.D)
 }
 
 // Trapdoor exposes the keyword index for callers that legitimately hold the
@@ -211,9 +201,8 @@ func (o *Owner) BuildIndexes(docs []*corpus.Document, workers int) ([]*SearchInd
 	for w := range trapdoors {
 		words = append(words, w)
 	}
-	ks := o.keySet()
 	derived := make([]*bitindex.Vector, len(words))
-	parallelFor(len(words), workers, func(i int) { derived[i] = o.keywordIndexUnder(ks, words[i]) })
+	parallelFor(len(words), workers, func(i int) { derived[i] = o.keywordIndex(words[i]) })
 	for i, w := range words {
 		trapdoors[w] = derived[i]
 	}
@@ -326,15 +315,12 @@ func (o *Owner) VerifyUser(userID string, msg, sig []byte) error {
 // well-behaved client derives bin IDs from the public GetBin hash and cannot
 // produce one out of range.
 func (o *Owner) TrapdoorKeys(binIDs []int) ([][]byte, error) {
-	o.mu.Lock()
-	ks := o.binKeys
-	o.mu.Unlock()
 	out := make([][]byte, len(binIDs))
 	for i, b := range binIDs {
 		if b < 0 || b >= o.params.Bins {
 			return nil, fmt.Errorf("core: bin %d out of range [0,%d)", b, o.params.Bins)
 		}
-		out[i] = ks.Key(b)
+		out[i] = o.binKeys.Key(b)
 	}
 	return out, nil
 }
@@ -357,45 +343,18 @@ func (o *Owner) DocumentKey(docID string) ([]byte, bool) {
 	return k, ok
 }
 
-// RotateBinKeys replaces every bin key with a fresh one and advances the
-// key epoch, implementing the paper's key-rotation hardening ("the data
-// owner can change the HMAC keys periodically. Each trapdoor will have an
-// expiration time", Section 4.3). Previously issued trapdoors and
-// previously built document indices become stale together: the owner must
-// rebuild and re-upload indices, and users — who see the new epoch in the
-// next trapdoor response — must discard cached keys and re-request.
-func (o *Owner) RotateBinKeys() error {
-	fresh, err := bins.NewKeySet(o.params.Bins)
-	if err != nil {
-		return err
-	}
-	o.mu.Lock()
-	o.binKeys = fresh
-	o.epoch++
-	o.mu.Unlock()
-	// Random-keyword trapdoors are derived from bin keys; recompute.
-	o.randomAll = bitindex.NewOnes(o.params.R)
-	for i, w := range o.randomWords {
-		o.randomTrapdoors[i] = o.keywordIndex(w)
-		o.randomAll.AndInto(o.randomTrapdoors[i])
-	}
-	return nil
-}
-
 // OwnerState is the data owner's complete persistent secret state: bin
-// keys, RSA key, epoch, decoy keywords, per-document keys and enrolled
-// users. It exists so an owner daemon can restart without invalidating the
-// deployed indices and issued trapdoors. Treat serialized state as highly
-// sensitive — it is the scheme's entire secret material.
+// keys, RSA key, decoy keywords, per-document keys and enrolled users. It
+// exists so an owner daemon can restart without invalidating the deployed
+// indices and issued trapdoors. Treat serialized state as highly sensitive
+// — it is the scheme's entire secret material.
 type OwnerState struct {
 	Params      Params
-	Epoch       int64
 	RSAKeyDER   []byte
 	BinKeys     [][]byte
 	RandomWords []string
 	DocKeys     map[string][]byte
 	Users       map[string][]byte // userID → PKCS#1 public key
-	Dictionary  []string          // for vector-mode trapdoors; may be nil
 }
 
 // ExportState snapshots the owner's secret state.
@@ -404,7 +363,6 @@ func (o *Owner) ExportState() *OwnerState {
 	defer o.mu.Unlock()
 	st := &OwnerState{
 		Params:      o.params,
-		Epoch:       o.epoch,
 		RSAKeyDER:   o.rsaKey.Marshal(),
 		BinKeys:     make([][]byte, o.params.Bins),
 		RandomWords: append([]string(nil), o.randomWords...),
@@ -419,11 +377,6 @@ func (o *Owner) ExportState() *OwnerState {
 	}
 	for id, pub := range o.users {
 		st.Users[id] = pub.Marshal()
-	}
-	if o.binDict != nil {
-		for _, words := range o.binDict {
-			st.Dictionary = append(st.Dictionary, words...)
-		}
 	}
 	return st
 }
@@ -456,7 +409,6 @@ func RestoreOwner(st *OwnerState) (*Owner, error) {
 		rsaKey:  rsaKey,
 		docKeys: make(map[string][]byte, len(st.DocKeys)),
 		users:   make(map[string]*blindrsa.PublicKey, len(st.Users)),
-		epoch:   st.Epoch,
 	}
 	for id, k := range st.DocKeys {
 		o.docKeys[id] = append([]byte(nil), k...)
@@ -468,66 +420,6 @@ func RestoreOwner(st *OwnerState) (*Owner, error) {
 		}
 		o.users[id] = pub
 	}
-	o.randomWords = append([]string(nil), st.RandomWords...)
-	o.randomTrapdoors = make([]*bitindex.Vector, len(o.randomWords))
-	o.randomAll = bitindex.NewOnes(o.params.R)
-	for i, w := range o.randomWords {
-		o.randomTrapdoors[i] = o.keywordIndex(w)
-		o.randomAll.AndInto(o.randomTrapdoors[i])
-	}
-	if len(st.Dictionary) > 0 {
-		o.RegisterDictionary(st.Dictionary)
-	}
+	o.setRandomWords(append([]string(nil), st.RandomWords...))
 	return o, nil
-}
-
-// Epoch returns the current key epoch. Trapdoor material is valid for
-// exactly one epoch; a user holding keys from an older epoch builds queries
-// that match nothing against re-indexed documents, so clients compare
-// epochs and refresh (the paper's trapdoor expiration realized as an
-// explicit counter).
-func (o *Owner) Epoch() int64 {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return o.epoch
-}
-
-// RegisterDictionary records the indexable keyword universe, enabling the
-// vector-mode trapdoor service (Section 4.2's alternative: "the data owner
-// can send trapdoor of each keywords in corresponding bins ... the latter
-// method relieves the user of computing the trapdoors"). Calling it again
-// replaces the dictionary.
-func (o *Owner) RegisterDictionary(words []string) {
-	byBin := make(map[int][]string)
-	for _, w := range words {
-		b := bins.GetBin(w, o.params.Bins)
-		byBin[b] = append(byBin[b], w)
-	}
-	o.mu.Lock()
-	o.binDict = byBin
-	o.mu.Unlock()
-}
-
-// TrapdoorVectors answers a vector-mode trapdoor request: the precomputed
-// index vector of every dictionary keyword in the requested bins. Compared
-// to TrapdoorKeys this costs the owner one HMAC per keyword and more
-// bandwidth (the communication/computation trade-off the paper notes), but
-// the bin secret itself never leaves the owner. Requires RegisterDictionary.
-func (o *Owner) TrapdoorVectors(binIDs []int) (map[string]*bitindex.Vector, error) {
-	o.mu.Lock()
-	dict := o.binDict
-	o.mu.Unlock()
-	if dict == nil {
-		return nil, fmt.Errorf("core: vector-mode trapdoors need a registered dictionary")
-	}
-	out := make(map[string]*bitindex.Vector)
-	for _, b := range binIDs {
-		if b < 0 || b >= o.params.Bins {
-			return nil, fmt.Errorf("core: bin %d out of range [0,%d)", b, o.params.Bins)
-		}
-		for _, w := range dict[b] {
-			out[w] = o.keywordIndex(w)
-		}
-	}
-	return out, nil
 }

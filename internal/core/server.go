@@ -216,8 +216,8 @@ func (s *Server) shardFor(docID string) *shard {
 
 // Upload stores one document's search index and encrypted payload. Both
 // must refer to the same document ID; re-uploading an existing ID replaces
-// it (the owner refreshing an index after key rotation) in place, keeping
-// its original upload-order position. The index words are copied into the
+// it (an owner restarted on the same corpus re-uploads every document) in
+// place, keeping its original upload-order position. The index words are copied into the
 // shard's columns; the payload is stored by reference.
 func (s *Server) Upload(si *SearchIndex, doc *EncryptedDocument) error {
 	if si == nil || doc == nil {

@@ -29,12 +29,10 @@ type User struct {
 	signKey         *blindrsa.PrivateKey
 	randomTrapdoors []*bitindex.Vector
 
-	mu       sync.Mutex
-	keys     *bins.KeySet                // partial: only requested bins are populated
-	vectors  map[string]*bitindex.Vector // vector-mode trapdoors (§4.2 alternative)
-	derived  map[string]derivedTrapdoor  // trapdoors derived from keys, ≤ maxDerived
-	keyEpoch int64                       // epoch the cached material belongs to
-	rng      *mrand.Rand                 // drives the V-of-U random-keyword selection
+	mu      sync.Mutex
+	keys    *bins.KeySet               // partial: only requested bins are populated
+	derived map[string]derivedTrapdoor // trapdoors derived from keys, ≤ maxDerived
+	rng     *mrand.Rand                // drives the V-of-U random-keyword selection
 
 	// Costs tallies the user-side operation counts of Table 2.
 	Costs costs.Counters
@@ -109,74 +107,9 @@ func NewUserWithKey(id string, p Params, ownerPub *blindrsa.PublicKey, randomTra
 		signKey:         signKey,
 		randomTrapdoors: randomTrapdoors,
 		keys:            keys,
-		vectors:         make(map[string]*bitindex.Vector),
 		derived:         make(map[string]derivedTrapdoor),
-		keyEpoch:        1,
 		rng:             mrand.New(mrand.NewSource(int64(binary.LittleEndian.Uint64(seedBytes[:])))),
 	}, nil
-}
-
-// InstallTrapdoorVectors stores precomputed per-keyword trapdoors received
-// from the owner in vector mode (Section 4.2's alternative trapdoor
-// delivery: more bandwidth, no hashing on the user, and the bin secret
-// never leaves the owner).
-func (u *User) InstallTrapdoorVectors(vs map[string]*bitindex.Vector) error {
-	u.mu.Lock()
-	defer u.mu.Unlock()
-	for w, v := range vs {
-		if v == nil || v.Len() != u.params.R {
-			return fmt.Errorf("core: malformed trapdoor vector for %q", w)
-		}
-		u.vectors[w] = v
-	}
-	return nil
-}
-
-// RefreshEnrollment replaces the user's random-keyword trapdoors with a new
-// package from the owner. Required after a key rotation: the decoy
-// trapdoors are derived from bin keys, so they expire together with every
-// other trapdoor.
-func (u *User) RefreshEnrollment(randomTrapdoors []*bitindex.Vector) error {
-	if len(randomTrapdoors) != u.params.U {
-		return fmt.Errorf("core: user %q received %d random trapdoors, scheme uses U=%d", u.ID, len(randomTrapdoors), u.params.U)
-	}
-	for i, v := range randomTrapdoors {
-		if v == nil || v.Len() != u.params.R {
-			return fmt.Errorf("core: random trapdoor %d malformed", i)
-		}
-	}
-	u.mu.Lock()
-	u.randomTrapdoors = randomTrapdoors
-	u.mu.Unlock()
-	return nil
-}
-
-// KeyEpoch returns the epoch the user's cached trapdoor material belongs to.
-func (u *User) KeyEpoch() int64 {
-	u.mu.Lock()
-	defer u.mu.Unlock()
-	return u.keyEpoch
-}
-
-// ObserveEpoch compares an epoch learned from the owner with the cached
-// material's epoch; if the owner has rotated keys, all cached trapdoors are
-// discarded (they are expired, Section 4.3) and ObserveEpoch reports true so
-// the caller can re-request.
-func (u *User) ObserveEpoch(epoch int64) (expired bool, err error) {
-	u.mu.Lock()
-	defer u.mu.Unlock()
-	if epoch == u.keyEpoch {
-		return false, nil
-	}
-	fresh, err := bins.EmptyKeySet(u.params.Bins)
-	if err != nil {
-		return false, err
-	}
-	u.keys = fresh
-	u.vectors = make(map[string]*bitindex.Vector)
-	u.derived = make(map[string]derivedTrapdoor)
-	u.keyEpoch = epoch
-	return true, nil
 }
 
 // SeedQueryRNG makes the V-of-U random keyword selection deterministic, for
@@ -243,51 +176,41 @@ func (u *User) InstallTrapdoorKeys(binIDs []int, keys [][]byte) error {
 	return nil
 }
 
-// HasTrapdoorFor reports whether the user already holds trapdoor material
-// (a bin key or a precomputed vector) covering a keyword, i.e. whether a
-// new trapdoor exchange is needed. ("Since the user can use the same
-// trapdoor for many queries ... this operation does not need to be
-// performed every time", Section 3.)
+// HasTrapdoorFor reports whether the user already holds the bin key
+// covering a keyword, i.e. whether a new trapdoor exchange is needed.
+// ("Since the user can use the same trapdoor for many queries ... this
+// operation does not need to be performed every time", Section 3.)
 func (u *User) HasTrapdoorFor(word string) bool {
 	u.mu.Lock()
 	defer u.mu.Unlock()
-	if _, ok := u.vectors[word]; ok {
-		return true
-	}
 	_, err := u.keys.PartialKeyFor(word)
 	return err == nil
 }
 
-// Trapdoor returns the keyword's index vector I_w: the precomputed vector
-// if the owner delivered one, otherwise the Equation 1 reduction computed
-// from the installed bin key (the same computation the owner applies). A
-// derived trapdoor is memoized until its epoch ends or its bin's key is
+// Trapdoor returns the keyword's index vector I_w: the Equation 1
+// reduction computed from the installed bin key (the same computation the
+// owner applies). A derived trapdoor is memoized until its bin's key is
 // replaced, so a keyword is hashed once per key ("the user can use the same
 // trapdoor for many queries", Section 3). The returned vector is shared and
 // must not be modified.
 func (u *User) Trapdoor(word string) (*bitindex.Vector, error) {
 	u.mu.Lock()
-	if v, ok := u.vectors[word]; ok {
-		u.mu.Unlock()
-		return v, nil
-	}
 	if d, ok := u.derived[word]; ok {
 		u.mu.Unlock()
 		return d.v, nil
 	}
 	key, err := u.keys.PartialKeyFor(word)
-	epoch := u.keyEpoch
 	u.mu.Unlock()
 	if err != nil {
 		return nil, err
 	}
 	// Derive outside the lock; store only if the key is still current, so a
-	// rotation racing this call never leaves a stale trapdoor behind.
+	// key install racing this call never leaves a stale trapdoor behind.
 	u.Costs.HashOps.Add(1)
 	v := bitindex.Reduce(kdf.ExpandString(key, word, u.params.HMACBytes()), u.params.R, u.params.D)
 	bin := bins.GetBin(word, u.params.Bins)
 	u.mu.Lock()
-	if u.keyEpoch == epoch && bytes.Equal(u.keys.Key(bin), key) && len(u.derived) < maxDerived {
+	if bytes.Equal(u.keys.Key(bin), key) && len(u.derived) < maxDerived {
 		u.derived[word] = derivedTrapdoor{bin: bin, v: v}
 	}
 	u.mu.Unlock()
@@ -312,43 +235,22 @@ func (u *User) BuildQuery(words []string) (*bitindex.Vector, error) {
 		q.AndInto(td)
 		u.Costs.BitwiseProducts.Add(1)
 	}
-	rts, subset := u.pickRandomSubset()
-	for _, ri := range subset {
-		q.AndInto(rts[ri])
+	for _, ri := range u.pickRandomSubset() {
+		q.AndInto(u.randomTrapdoors[ri])
 		u.Costs.BitwiseProducts.Add(1)
 	}
 	return q, nil
 }
 
-// BuildQueryPlain builds a query without random keywords. It exists for the
-// false-accept-rate and attack experiments, which need the deterministic
-// baseline behaviour; real deployments always use BuildQuery.
-func (u *User) BuildQueryPlain(words []string) (*bitindex.Vector, error) {
-	if len(words) == 0 {
-		return nil, fmt.Errorf("core: empty query")
-	}
-	q := bitindex.NewOnes(u.params.R)
-	for _, w := range words {
-		td, err := u.Trapdoor(w)
-		if err != nil {
-			return nil, err
-		}
-		q.AndInto(td)
-		u.Costs.BitwiseProducts.Add(1)
-	}
-	return q, nil
-}
-
-// pickRandomSubset draws V distinct indices from [0, U) and returns the
-// current random-trapdoor package alongside (both read under the lock, as
-// RefreshEnrollment may swap the package concurrently).
-func (u *User) pickRandomSubset() ([]*bitindex.Vector, []int) {
+// pickRandomSubset draws V distinct indices from [0, U), under the lock
+// because the rng is not safe for concurrent use.
+func (u *User) pickRandomSubset() []int {
 	u.mu.Lock()
 	defer u.mu.Unlock()
 	if u.params.V == 0 || u.params.U == 0 {
-		return u.randomTrapdoors, nil
+		return nil
 	}
-	return u.randomTrapdoors, u.rng.Perm(u.params.U)[:u.params.V]
+	return u.rng.Perm(u.params.U)[:u.params.V]
 }
 
 // DecryptDocument runs the user's side of the retrieval protocol (Section

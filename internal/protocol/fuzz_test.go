@@ -59,8 +59,9 @@ func frame(tb testing.TB, m *Message) []byte {
 
 // FuzzMessageDecode throws hostile bytes at the frame decoder: whatever a
 // peer sends, Recv must return a message or an error, never panic or hang.
-// Seeds cover every cluster-protocol message plus classic framing traps
-// (truncated frames, oversized length prefixes, corrupted gob payloads).
+// Seeds cover every cluster-protocol message, the owner's three verbs, plus
+// classic framing traps (truncated frames, oversized length prefixes,
+// corrupted gob payloads).
 func FuzzMessageDecode(f *testing.F) {
 	f.Add(frame(f, &Message{ClusterInfoReq: &ClusterInfoRequest{}}))
 	f.Add(frame(f, &Message{ClusterInfoResp: &ClusterInfoResponse{Partition: 1, Partitions: 3}}))
@@ -97,6 +98,19 @@ func FuzzMessageDecode(f *testing.F) {
 		SearchBatchResp: &SearchBatchResponse{Results: [][]MatchWire{{{DocID: "d", Rank: 2}, {DocID: "e", Rank: 1}}, nil}},
 		Spans:           []SpanWire{{TraceHi: 1, TraceLo: 2, SpanID: 3, Name: "server:search"}, {Name: "scan"}},
 	}))
+	// The owner daemon decodes frames from any peer through the same Recv:
+	// enrollment, trapdoor and blind-decryption requests and replies.
+	pub := PublicKeyWire{N: []byte{0xc5, 0x01, 0x7f}, E: []byte{1, 0, 1}}
+	f.Add(frame(f, &Message{EnrollReq: &EnrollRequest{UserID: "alice", UserPub: pub}}))
+	f.Add(frame(f, &Message{EnrollResp: &EnrollResponse{
+		Params:          ParamsWire{R: 448, D: 6, Bins: 250, U: 60, V: 30, RSABits: 1024, Levels: []int{1, 5, 10}},
+		OwnerPub:        pub,
+		RandomTrapdoors: [][]byte{{0xff, 0x0f}, {0xf0}},
+	}}))
+	f.Add(frame(f, &Message{TrapdoorReq: &TrapdoorRequest{UserID: "alice", BinIDs: []int{3, 249}, Sig: []byte{7, 7}}}))
+	f.Add(frame(f, &Message{TrapdoorResp: &TrapdoorResponse{BinIDs: []int{3, 249}, Keys: [][]byte{{1, 2}, {3, 4}}}}))
+	f.Add(frame(f, &Message{BlindDecryptReq: &BlindDecryptRequest{UserID: "alice", Z: []byte{0x12, 0x34}, Sig: []byte{9}}}))
+	f.Add(frame(f, &Message{BlindDecryptResp: &BlindDecryptResponse{ZBar: []byte{0x56, 0x78}}}))
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 4, 1, 2})                   // length longer than payload
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0}) // absurd length prefix

@@ -96,9 +96,6 @@ type Message struct {
 	TrapdoorReq  *TrapdoorRequest
 	TrapdoorResp *TrapdoorResponse
 
-	RefreshReq  *RefreshRequest
-	RefreshResp *RefreshResponse
-
 	BlindDecryptReq  *BlindDecryptRequest
 	BlindDecryptResp *BlindDecryptResponse
 
@@ -249,48 +246,26 @@ type EnrollRequest struct {
 }
 
 // EnrollResponse delivers the enrollment package: scheme parameters, the
-// owner's public key, the current key epoch and the U random-keyword
-// trapdoors (step 0 of the protocol; sent over the user↔owner channel,
-// never to the server).
+// owner's public key and the U random-keyword trapdoors (step 0 of the
+// protocol; sent over the user↔owner channel, never to the server).
 type EnrollResponse struct {
 	Params          ParamsWire
 	OwnerPub        PublicKeyWire
-	Epoch           int64
 	RandomTrapdoors [][]byte // marshaled bitindex vectors
 }
 
-// TrapdoorRequest asks for trapdoor material covering the given bins (step
-// 1 of Figure 1). With WantVectors the owner replies with precomputed
-// per-keyword index vectors (Section 4.2's alternative mode) instead of the
-// bin secrets. Sig authenticates SignableTrapdoor(UserID, BinIDs).
+// TrapdoorRequest asks for the secret keys of the given bins (step 1 of
+// Figure 1). Sig authenticates SignableTrapdoor(UserID, BinIDs).
 type TrapdoorRequest struct {
-	UserID      string
-	BinIDs      []int
-	WantVectors bool
-	Sig         []byte
-}
-
-// TrapdoorResponse returns either the per-bin HMAC keys (parallel to
-// BinIDs) or, in vector mode, the keyword→index-vector map. Epoch lets the
-// client detect key rotation (Section 4.3 trapdoor expiry).
-type TrapdoorResponse struct {
-	BinIDs  []int
-	Keys    [][]byte
-	Vectors map[string][]byte // vector mode: keyword → marshaled vector
-	Epoch   int64
-}
-
-// RefreshRequest re-fetches the enrollment package after a key rotation
-// (fresh decoy trapdoors). Sig authenticates SignableRefresh(UserID).
-type RefreshRequest struct {
 	UserID string
+	BinIDs []int
 	Sig    []byte
 }
 
-// RefreshResponse carries the new epoch and decoy trapdoors.
-type RefreshResponse struct {
-	Epoch           int64
-	RandomTrapdoors [][]byte
+// TrapdoorResponse returns the per-bin HMAC keys, parallel to BinIDs.
+type TrapdoorResponse struct {
+	BinIDs []int
+	Keys   [][]byte
 }
 
 // BlindDecryptRequest carries a blinded ciphertext z (step 4 of Figure 1).
@@ -672,10 +647,4 @@ func SignableTrapdoor(userID string, binIDs []int) []byte {
 func SignableBlindDecrypt(userID string, z []byte) []byte {
 	out := []byte("mkse/blind-decrypt\x00" + userID + "\x00")
 	return append(out, z...)
-}
-
-// SignableRefresh produces the canonical byte string a user signs in an
-// enrollment-refresh request.
-func SignableRefresh(userID string) []byte {
-	return []byte("mkse/refresh\x00" + userID)
 }

@@ -168,76 +168,6 @@ func TestSignableEncodingsDeterministicAndDistinct(t *testing.T) {
 	}
 }
 
-func TestVectorModeMessagesRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	c := NewConn(&buf)
-	if err := c.Send(&Message{TrapdoorReq: &TrapdoorRequest{
-		UserID: "u", BinIDs: []int{1}, WantVectors: true, Sig: []byte{9},
-	}}); err != nil {
-		t.Fatal(err)
-	}
-	got, err := c.Recv()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.TrapdoorReq.WantVectors {
-		t.Error("WantVectors lost in transit")
-	}
-
-	if err := c.Send(&Message{TrapdoorResp: &TrapdoorResponse{
-		Epoch:   7,
-		Vectors: map[string][]byte{"kw": {1, 2, 3}},
-	}}); err != nil {
-		t.Fatal(err)
-	}
-	got, err = c.Recv()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.TrapdoorResp.Epoch != 7 {
-		t.Errorf("epoch = %d, want 7", got.TrapdoorResp.Epoch)
-	}
-	if !bytes.Equal(got.TrapdoorResp.Vectors["kw"], []byte{1, 2, 3}) {
-		t.Error("vector map lost in transit")
-	}
-}
-
-func TestRefreshMessagesRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	c := NewConn(&buf)
-	if err := c.Send(&Message{RefreshReq: &RefreshRequest{UserID: "u", Sig: []byte{1}}}); err != nil {
-		t.Fatal(err)
-	}
-	got, err := c.Recv()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.RefreshReq == nil || got.RefreshReq.UserID != "u" {
-		t.Fatal("refresh request mangled")
-	}
-	if err := c.Send(&Message{RefreshResp: &RefreshResponse{
-		Epoch: 3, RandomTrapdoors: [][]byte{{1}, {2}},
-	}}); err != nil {
-		t.Fatal(err)
-	}
-	got, err = c.Recv()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.RefreshResp.Epoch != 3 || len(got.RefreshResp.RandomTrapdoors) != 2 {
-		t.Errorf("refresh response mangled: %+v", got.RefreshResp)
-	}
-}
-
-func TestSignableRefreshDomainSeparated(t *testing.T) {
-	if bytes.Equal(SignableRefresh("alice"), SignableTrapdoor("alice", nil)) {
-		t.Error("refresh and trapdoor signables collide")
-	}
-	if bytes.Equal(SignableRefresh("alice"), SignableRefresh("bob")) {
-		t.Error("refresh signable does not bind the user ID")
-	}
-}
-
 func TestConnOverTCP(t *testing.T) {
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

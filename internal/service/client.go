@@ -30,11 +30,6 @@ import (
 type Client struct {
 	UserID string
 
-	// VectorMode requests precomputed per-keyword trapdoor vectors instead
-	// of bin keys (Section 4.2's alternative delivery; requires the owner
-	// to have registered a dictionary). Set before the first search.
-	VectorMode bool
-
 	// MaxReplicaLag is the most records a replica may trail the primary and
 	// still serve this client's reads (0 = DefaultMaxReplicaLag). Set
 	// before the first search.
@@ -182,10 +177,7 @@ func (c *Client) Close() error {
 // keyword sets the user does not already cover, in one signed request
 // (step 1 of Figure 1); a word shared by several sets is requested once.
 // It is a no-op when everything is cached — the paper's point that
-// trapdoors are reusable across queries. If the response reveals a key
-// rotation (new epoch, Section 4.3), all cached material is discarded, the
-// decoy trapdoors are refreshed, and the new-epoch material from the same
-// response is installed.
+// trapdoors are reusable across queries.
 func (c *Client) EnsureTrapdoors(queries ...[]string) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -206,10 +198,9 @@ func (c *Client) EnsureTrapdoors(queries ...[]string) error {
 		return err
 	}
 	resp, err := c.ownerCall(&protocol.Message{TrapdoorReq: &protocol.TrapdoorRequest{
-		UserID:      c.UserID,
-		BinIDs:      binIDs,
-		WantVectors: c.VectorMode,
-		Sig:         sig,
+		UserID: c.UserID,
+		BinIDs: binIDs,
+		Sig:    sig,
 	}})
 	if err != nil {
 		return fmt.Errorf("service: trapdoor request: %w", err)
@@ -218,57 +209,7 @@ func (c *Client) EnsureTrapdoors(queries ...[]string) error {
 	if td == nil {
 		return fmt.Errorf("service: trapdoor response missing")
 	}
-	if td.Epoch != c.user.KeyEpoch() {
-		expired, err := c.user.ObserveEpoch(td.Epoch)
-		if err != nil {
-			return err
-		}
-		if expired {
-			if err := c.refreshEnrollmentLocked(); err != nil {
-				return err
-			}
-		}
-	}
-	if c.VectorMode {
-		vs := make(map[string]*bitindex.Vector, len(td.Vectors))
-		for w, raw := range td.Vectors {
-			v, err := unmarshalVector(raw)
-			if err != nil {
-				return fmt.Errorf("service: trapdoor vector for %q: %w", w, err)
-			}
-			vs[w] = v
-		}
-		return c.user.InstallTrapdoorVectors(vs)
-	}
 	return c.user.InstallTrapdoorKeys(td.BinIDs, td.Keys)
-}
-
-// refreshEnrollmentLocked re-fetches the decoy-trapdoor package after a key
-// rotation. Caller holds c.mu.
-func (c *Client) refreshEnrollmentLocked() error {
-	sig, err := c.user.Sign(protocol.SignableRefresh(c.UserID))
-	if err != nil {
-		return err
-	}
-	resp, err := c.ownerCall(&protocol.Message{RefreshReq: &protocol.RefreshRequest{
-		UserID: c.UserID,
-		Sig:    sig,
-	}})
-	if err != nil {
-		return fmt.Errorf("service: enrollment refresh: %w", err)
-	}
-	if resp.RefreshResp == nil {
-		return fmt.Errorf("service: refresh response missing")
-	}
-	rts := make([]*bitindex.Vector, len(resp.RefreshResp.RandomTrapdoors))
-	for i, raw := range resp.RefreshResp.RandomTrapdoors {
-		v, err := unmarshalVector(raw)
-		if err != nil {
-			return fmt.Errorf("service: refreshed random trapdoor %d: %w", i, err)
-		}
-		rts[i] = v
-	}
-	return c.user.RefreshEnrollment(rts)
 }
 
 // Match is one ranked search hit: core.Match, as the wire carries it.

@@ -32,6 +32,11 @@ type OwnerService struct {
 	// daemon's (DEBUG "request served", WARN "request failed") plus
 	// free-form notices.
 	Logger *slog.Logger
+	// Persist, when set, is called after each enrollment and before its
+	// reply is sent, so an acknowledged enrollment survives the owner's
+	// death. If it fails the enrollment is refused; the user stays
+	// registered in memory and is written by the next save that succeeds.
+	Persist func() error
 }
 
 // Serve accepts connections on l until it is closed. Every request flows
@@ -50,8 +55,6 @@ func ownerVerbOf(m *protocol.Message) string {
 		return "enroll"
 	case m.TrapdoorReq != nil:
 		return "trapdoor"
-	case m.RefreshReq != nil:
-		return "refresh"
 	case m.BlindDecryptReq != nil:
 		return "blinddecrypt"
 	default:
@@ -67,8 +70,6 @@ func (s *OwnerService) dispatch(_ context.Context, _ *protocol.Conn, _ net.Conn,
 		return s.handleEnroll(m.EnrollReq)
 	case "trapdoor":
 		return s.handleTrapdoor(m.TrapdoorReq)
-	case "refresh":
-		return s.handleRefresh(m.RefreshReq)
 	case "blinddecrypt":
 		return s.handleBlindDecrypt(m.BlindDecryptReq)
 	default:
@@ -84,6 +85,11 @@ func (s *OwnerService) handleEnroll(req *protocol.EnrollRequest) *protocol.Messa
 	if err := s.Owner.RegisterUser(req.UserID, pub); err != nil {
 		return errMsg(err)
 	}
+	if s.Persist != nil {
+		if err := s.Persist(); err != nil {
+			return errMsg(fmt.Errorf("owner: enroll: saving state: %w", err))
+		}
+	}
 	rts := s.Owner.RandomTrapdoors()
 	wire := make([][]byte, len(rts))
 	for i, v := range rts {
@@ -93,7 +99,6 @@ func (s *OwnerService) handleEnroll(req *protocol.EnrollRequest) *protocol.Messa
 	return &protocol.Message{EnrollResp: &protocol.EnrollResponse{
 		Params:          protocol.FromParams(s.Owner.Params()),
 		OwnerPub:        protocol.FromPublicKey(s.Owner.PublicKey()),
-		Epoch:           s.Owner.Epoch(),
 		RandomTrapdoors: wire,
 	}}
 }
@@ -103,42 +108,12 @@ func (s *OwnerService) handleTrapdoor(req *protocol.TrapdoorRequest) *protocol.M
 	if err := s.Owner.VerifyUser(req.UserID, signable, req.Sig); err != nil {
 		return errMsg(fmt.Errorf("owner: trapdoor request rejected: %w", err))
 	}
-	resp := &protocol.TrapdoorResponse{BinIDs: req.BinIDs, Epoch: s.Owner.Epoch()}
-	if req.WantVectors {
-		vs, err := s.Owner.TrapdoorVectors(req.BinIDs)
-		if err != nil {
-			return errMsg(err)
-		}
-		resp.Vectors = make(map[string][]byte, len(vs))
-		for w, v := range vs {
-			resp.Vectors[w] = marshalVector(v)
-		}
-		logf(s.Logger, "owner: served %d trapdoor vectors to %q", len(vs), req.UserID)
-	} else {
-		keys, err := s.Owner.TrapdoorKeys(req.BinIDs)
-		if err != nil {
-			return errMsg(err)
-		}
-		resp.Keys = keys
-		logf(s.Logger, "owner: served %d bin keys to %q", len(keys), req.UserID)
+	keys, err := s.Owner.TrapdoorKeys(req.BinIDs)
+	if err != nil {
+		return errMsg(err)
 	}
-	return &protocol.Message{TrapdoorResp: resp}
-}
-
-func (s *OwnerService) handleRefresh(req *protocol.RefreshRequest) *protocol.Message {
-	signable := protocol.SignableRefresh(req.UserID)
-	if err := s.Owner.VerifyUser(req.UserID, signable, req.Sig); err != nil {
-		return errMsg(fmt.Errorf("owner: refresh request rejected: %w", err))
-	}
-	rts := s.Owner.RandomTrapdoors()
-	wire := make([][]byte, len(rts))
-	for i, v := range rts {
-		wire[i] = marshalVector(v)
-	}
-	return &protocol.Message{RefreshResp: &protocol.RefreshResponse{
-		Epoch:           s.Owner.Epoch(),
-		RandomTrapdoors: wire,
-	}}
+	logf(s.Logger, "owner: served %d bin keys to %q", len(keys), req.UserID)
+	return &protocol.Message{TrapdoorResp: &protocol.TrapdoorResponse{BinIDs: req.BinIDs, Keys: keys}}
 }
 
 func (s *OwnerService) handleBlindDecrypt(req *protocol.BlindDecryptRequest) *protocol.Message {

@@ -329,105 +329,25 @@ func TestUnsupportedRequestsAnswered(t *testing.T) {
 	}
 }
 
-// Vector-mode trapdoors over the wire: the client receives precomputed
-// vectors, spends no hash operations, and searches identically.
-func TestVectorModeOverTCP(t *testing.T) {
+// An enrollment is acknowledged only once Persist has saved it: one save
+// per enrollment, and a failed save refuses the enrollment.
+func TestEnrollWaitsForPersist(t *testing.T) {
 	d := sharedDeployment(t)
-	// Register the corpus keywords as the dictionary.
-	dict := make([]string, 0, 256)
-	seen := map[string]bool{}
-	for _, doc := range d.docs {
-		for w := range doc.TermFreqs {
-			if !seen[w] {
-				seen[w] = true
-				dict = append(dict, w)
-			}
-		}
-	}
-	d.owner.RegisterDictionary(dict)
-
-	client, err := Dial(freshUser("tcp-vector"), d.ownerAddr, d.cloudAddr)
+	key, err := core.NewSigningKey(d.owner.Params().RSABits)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer client.Close()
-	client.VectorMode = true
-
-	target := d.docs[7]
-	words := target.Keywords()[:2]
-	matches, err := client.Search(words, 0)
-	if err != nil {
-		t.Fatal(err)
+	saves, saveErr := 0, error(nil)
+	svc := &OwnerService{Owner: d.owner, Persist: func() error { saves++; return saveErr }}
+	enroll := func(id string) *protocol.Message {
+		return svc.handleEnroll(&protocol.EnrollRequest{UserID: id, UserPub: protocol.FromPublicKey(key.Public())})
 	}
-	found := false
-	for _, m := range matches {
-		if m.DocID == target.ID {
-			found = true
-		}
+	if m := enroll(freshUser("persisted")); m.EnrollResp == nil || saves != 1 {
+		t.Fatalf("enrollment: reply %+v after %d saves, want a reply after 1", m, saves)
 	}
-	if !found {
-		t.Fatalf("vector-mode search missed the target among %d matches", len(matches))
-	}
-	if hashes := client.User().Costs.Snapshot().HashOps; hashes != 0 {
-		t.Errorf("vector-mode client spent %d hash ops, want 0", hashes)
-	}
-}
-
-// Key rotation over the wire: after the owner rotates and re-uploads, a
-// client with cached trapdoors detects the new epoch on its next exchange,
-// refreshes its decoys, and keeps working.
-func TestEpochRotationOverTCP(t *testing.T) {
-	// Private deployment: rotation invalidates every other test's trapdoors.
-	dep, err := newDeployment()
-	if err != nil {
-		t.Fatal(err)
-	}
-	client, err := Dial("tcp-rotate", dep.ownerAddr, dep.cloudAddr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer client.Close()
-
-	first := dep.docs[1]
-	if _, err := client.Search(first.Keywords()[:1], 0); err != nil {
-		t.Fatal(err)
-	}
-
-	// Rotate and re-upload everything.
-	if err := dep.owner.RotateBinKeys(); err != nil {
-		t.Fatal(err)
-	}
-	var items []UploadItem
-	for _, doc := range dep.docs {
-		si, enc, err := dep.owner.Prepare(doc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		items = append(items, UploadItem{Index: si, Doc: enc})
-	}
-	if err := UploadAll(dep.cloudAddr, items); err != nil {
-		t.Fatal(err)
-	}
-
-	// Search for different keywords (forcing a trapdoor exchange that
-	// reveals the rotation) and verify matches against the re-built index.
-	second := dep.docs[2]
-	words := second.Keywords()[:2]
-	matches, err := client.Search(words, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	found := false
-	for _, m := range matches {
-		if m.DocID == second.ID {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("post-rotation search missed the target among %d matches", len(matches))
-	}
-	if client.User().KeyEpoch() != dep.owner.Epoch() {
-		t.Errorf("client epoch %d, owner epoch %d", client.User().KeyEpoch(), dep.owner.Epoch())
+	saveErr = errors.New("disk full")
+	if m := enroll(freshUser("unsaved")); m.Error == nil || !strings.Contains(m.Error.Text, "disk full") {
+		t.Fatalf("enrollment acknowledged although its save failed: %+v", m)
 	}
 }
 

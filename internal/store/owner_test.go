@@ -2,17 +2,19 @@ package store
 
 import (
 	"bytes"
+	"encoding/gob"
 	"math/big"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"mkse/internal/core"
 	"mkse/internal/corpus"
 )
 
-// The full owner round trip: everything that matters — trapdoors, epoch,
-// blind decryption of previously encrypted documents, user registry,
-// vector-mode dictionary — must survive persistence.
+// The full owner round trip: everything that matters — trapdoors, blind
+// decryption of previously encrypted documents, user registry — must
+// survive persistence.
 func TestOwnerSaveLoadRoundTrip(t *testing.T) {
 	p := core.DefaultParams()
 	p.Bins = 16
@@ -20,10 +22,6 @@ func TestOwnerSaveLoadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := owner.RotateBinKeys(); err != nil { // epoch 2, fresh keys
-		t.Fatal(err)
-	}
-	owner.RegisterDictionary([]string{"alpha", "beta", "gamma"})
 
 	doc := &corpus.Document{ID: "persist-doc", TermFreqs: map[string]int{"alpha": 3}, Content: []byte("contents survive restarts")}
 	_, enc, err := owner.Prepare(doc)
@@ -51,10 +49,6 @@ func TestOwnerSaveLoadRoundTrip(t *testing.T) {
 	if !restored.Trapdoor("alpha").Equal(owner.Trapdoor("alpha")) {
 		t.Error("trapdoors differ after restore")
 	}
-	// Same epoch.
-	if restored.Epoch() != owner.Epoch() {
-		t.Errorf("epoch %d after restore, want %d", restored.Epoch(), owner.Epoch())
-	}
 	// Same decoy trapdoors (random words + keys survived).
 	a, b := owner.RandomTrapdoors(), restored.RandomTrapdoors()
 	for i := range a {
@@ -79,10 +73,6 @@ func TestOwnerSaveLoadRoundTrip(t *testing.T) {
 	}
 	if err := restored.VerifyUser(user.ID, msg, sig); err != nil {
 		t.Errorf("registered user rejected after restore: %v", err)
-	}
-	// Vector-mode dictionary survived.
-	if _, err := restored.TrapdoorVectors(user.BinIDs([]string{"alpha"})); err != nil {
-		t.Errorf("vector mode unavailable after restore: %v", err)
 	}
 	// Document key bookkeeping survived.
 	if _, ok := restored.DocumentKey(doc.ID); !ok {
@@ -127,5 +117,70 @@ func TestLoadOwnerRejectsGarbage(t *testing.T) {
 	}
 	if _, err := LoadOwner(bytes.NewReader(nil)); err == nil {
 		t.Error("empty owner state accepted")
+	}
+}
+
+// epochOwnerState mirrors core.OwnerState as it was written while bin keys
+// could rotate and trapdoors could be served as keyword vectors: it also
+// carried the key epoch and the keyword dictionary.
+type epochOwnerState struct {
+	Params      core.Params
+	Epoch       int64
+	RSAKeyDER   []byte
+	BinKeys     [][]byte
+	RandomWords []string
+	DocKeys     map[string][]byte
+	Users       map[string][]byte
+	Dictionary  []string
+}
+
+func TestLoadOwnerReadsEpochState(t *testing.T) {
+	p := core.DefaultParams()
+	p.Bins = 16
+	owner, err := core.NewOwner(p, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := owner.Prepare(&corpus.Document{ID: "old-doc", TermFreqs: map[string]int{"alpha": 2}, Content: []byte("x")}); err != nil {
+		t.Fatal(err)
+	}
+	user, err := core.NewUser("old-user", p, owner.PublicKey(), owner.RandomTrapdoors())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := owner.RegisterUser(user.ID, user.PublicKey()); err != nil {
+		t.Fatal(err)
+	}
+	st := owner.ExportState()
+	var buf bytes.Buffer
+	buf.Write(ownerMagic[:])
+	if err := gob.NewEncoder(&buf).Encode(&epochOwnerState{
+		Params: st.Params, Epoch: 2, RSAKeyDER: st.RSAKeyDER, BinKeys: st.BinKeys,
+		RandomWords: st.RandomWords, DocKeys: st.DocKeys, Users: st.Users,
+		Dictionary: []string{"alpha", "beta"},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	restored, err := LoadOwner(&buf)
+	if err != nil {
+		t.Fatalf("state written with an epoch and a dictionary does not load: %v", err)
+	}
+	all := make([]int, p.Bins)
+	for i := range all {
+		all[i] = i
+	}
+	want, err := owner.TrapdoorKeys(all)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := restored.TrapdoorKeys(all)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Error("bin keys differ after loading an epoch-carrying state")
+	}
+	if !reflect.DeepEqual(restored.ExportState(), st) {
+		t.Error("users, document keys or key material differ after loading an epoch-carrying state")
 	}
 }
