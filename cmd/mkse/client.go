@@ -24,10 +24,13 @@ func clientCmd(fs *flag.FlagSet) func() error {
 		cloudTg   = fs.String("cloud", "localhost:7002", "cloud topology primary[/replica...],... in partition order; a bare address is one partition")
 		user      = fs.String("user", "cli-user", "user identity to enroll as")
 		topK      = fs.Int("top", 10, "maximum matches to request (τ)")
-		dialTO    = fs.Duration("dial-timeout", service.DialTimeout, "per-connection dial budget")
+		dialTO    = fs.Duration("dial-timeout", service.DialTimeout, "per-connection dial budget, also the budget of each exchange with the owner; must be positive")
 		asJSON    = fs.Bool("json", false, "emit stats as a JSON array, one object per partition keyed by Prometheus series names")
 	)
 	return func() error {
+		if *dialTO <= 0 {
+			return usagef("-dial-timeout must be positive, got %v", *dialTO)
+		}
 		service.DialTimeout = *dialTO
 		cfg, err := cluster.ParseTargets(*cloudTg)
 		if err != nil {
@@ -35,7 +38,7 @@ func clientCmd(fs *flag.FlagSet) func() error {
 		}
 		args := fs.Args()
 		if len(args) >= 1 && args[0] == "stats" {
-			// Operator introspection: a raw dial to each partition, no owner
+			// Operator introspection through the client's router, no owner
 			// connection or user enrollment needed.
 			return printStats(cfg, *asJSON)
 		}
@@ -101,10 +104,11 @@ func clientCmd(fs *flag.FlagSet) func() error {
 
 // partialOK reports a *cluster.PartialError on w as a warning and returns
 // nil: the merged matches then cover the surviving partitions, and the
-// warning names the ones they are missing. Any other error is returned.
+// warning names the ones they are missing. Any other error is returned,
+// and so is a PartialError naming every partition: nothing answered.
 func partialOK(w io.Writer, err error) error {
 	var partial *cluster.PartialError
-	if errors.As(err, &partial) {
+	if errors.As(err, &partial) && len(partial.Failures) < partial.Partitions {
 		fmt.Fprintf(w, "mkse client: warning: %v\n", partial)
 		return nil
 	}
@@ -123,27 +127,32 @@ func printMatches(matches []service.Match) {
 }
 
 // printStats prints every partition's stats reply, as text or (with -json)
-// as a JSON array of per-partition objects keyed by series name.
+// as a JSON array of per-partition objects keyed by series name. A
+// partition that did not answer is named in a warning and printed as null
+// in the JSON, not at all in the text.
 func printStats(cfg cluster.Config, asJSON bool) error {
 	parts, err := service.FetchClusterStats(cfg)
-	if err != nil {
+	if err := partialOK(os.Stderr, err); err != nil {
 		return fmt.Errorf("stats: %w", err)
 	}
 	if asJSON {
 		out := make([]map[string]any, len(parts))
 		for i, st := range parts {
-			out[i] = service.StatsJSON(st)
+			if st != nil {
+				out[i] = service.StatsJSON(st)
+			}
 		}
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
 		return enc.Encode(out)
 	}
-	documents := 0
 	for i, st := range parts {
-		fmt.Printf("partition %d (%s)\n", i, cfg.Partitions[i].Primary)
-		service.WriteStats(os.Stdout, st)
-		documents += st.NumDocuments
+		if st != nil {
+			fmt.Printf("partition %d (%s)\n", i, cfg.Partitions[i].Primary)
+			service.WriteStats(os.Stdout, st)
+		}
 	}
-	fmt.Printf("cluster        %d partitions, %d documents\n", len(parts), documents)
+	agg := service.AggregateClusterStats(parts)
+	fmt.Printf("cluster        %d partitions, %d documents\n", agg.Partitions, agg.NumDocuments)
 	return nil
 }

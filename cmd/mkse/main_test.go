@@ -5,6 +5,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"log/slog"
 	"net"
 	"os"
 	"path/filepath"
@@ -36,6 +37,7 @@ func TestUsageErrorsExit2(t *testing.T) {
 		{"observer", "-cloud", "a:1"},
 		{"client"},
 		{"client", "frobnicate", "x"},
+		{"client", "-dial-timeout", "0", "stats"},
 		{"bench", "-exp", "nope"},
 		{"version", "-x"},
 	} {
@@ -75,9 +77,13 @@ func TestOwnerRejectsLevelsDisagreeingWithState(t *testing.T) {
 // daemon still runs, before any shutdown save.
 func TestOwnerPersistsEnrollmentBeforeReply(t *testing.T) {
 	state := filepath.Join(t.TempDir(), "owner.state")
-	addr := freeAddr(t)
+	// The owner has fresh keys and nothing to upload; with no cloud to
+	// count it only warns and serves.
+	addr, noCloud := freeAddr(t), freeAddr(t)
 	done := make(chan int, 1)
-	go func() { done <- run([]string{"owner", "-state", state, "-listen", addr, "-log-level", "error"}) }()
+	go func() {
+		done <- run([]string{"owner", "-state", state, "-listen", addr, "-cloud", noCloud, "-log-level", "error"})
+	}()
 	waitListening(t, addr)
 	defer func() {
 		if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
@@ -189,6 +195,56 @@ func TestPropagatedTraceHonoredWithoutSampling(t *testing.T) {
 	}
 }
 
+// TestOwnerWithFreshKeysRefusesPopulatedCloud: an owner that restored no
+// -state holds fresh bin keys, so a cloud already holding documents it did
+// not upload would silently match nothing. It exits 1 before listening.
+func TestOwnerWithFreshKeysRefusesPopulatedCloud(t *testing.T) {
+	cloud, first, second := freeAddr(t), freeAddr(t), freeAddr(t)
+	exits := make(chan int, 2)
+	go func() {
+		exits <- run([]string{"server", "-listen", cloud, "-data", t.TempDir(), "-log-level", "error"})
+	}()
+	waitListening(t, cloud)
+	go func() {
+		exits <- run([]string{"owner", "-listen", first, "-cloud", cloud, "-synthetic", "60", "-log-level", "error"})
+	}()
+	waitListening(t, first)
+	defer func() {
+		if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 2; i++ {
+			select {
+			case code := <-exits:
+				if code != 0 {
+					t.Errorf("daemon exited %d after SIGTERM, want 0", code)
+				}
+			case <-time.After(30 * time.Second):
+				t.Fatal("daemon did not stop on SIGTERM")
+			}
+		}
+	}()
+
+	topo := cluster.Config{Partitions: []cluster.Partition{{Primary: cloud}}}
+	if err := checkFreshCloud(topo, 60, slog.Default()); err != nil {
+		t.Errorf("the owner that uploaded all 60 documents was refused: %v", err)
+	}
+	err := checkFreshCloud(topo, 0, slog.Default())
+	if err == nil || !strings.Contains(err.Error(), "holds 60 documents") || !strings.Contains(err.Error(), "-state") {
+		t.Errorf("refusal %v does not name the 60 documents and -state", err)
+	}
+	refused := make(chan int, 1)
+	go func() { refused <- run([]string{"owner", "-listen", second, "-cloud", cloud, "-log-level", "error"}) }()
+	select {
+	case code := <-refused:
+		if code != 1 {
+			t.Fatalf("second owner without -state exited %d, want 1", code)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("second owner without -state started serving a cloud indexed under other keys")
+	}
+}
+
 // freeAddr returns a loopback address no listener holds right now.
 func freeAddr(t *testing.T) string {
 	t.Helper()
@@ -227,6 +283,13 @@ func TestPartialOKWarnsAndKeepsMatches(t *testing.T) {
 	}
 	if !strings.Contains(w.String(), "warning") || !strings.Contains(w.String(), "1 (h:7003)") {
 		t.Errorf("warning %q does not name partition 1", w.String())
+	}
+	none := &cluster.PartialError{Partitions: 1, Failures: []cluster.PartitionFailure{
+		{Partition: 0, Addr: "h:7002", Err: errors.New("connection refused")},
+	}}
+	w.Reset()
+	if err := partialOK(&w, none); err != none || w.Len() != 0 {
+		t.Errorf("partialOK(no partition answered) = %v, wrote %q; want the error back and no warning", err, w.String())
 	}
 	other := errors.New("dial failed")
 	w.Reset()

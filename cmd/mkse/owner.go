@@ -3,6 +3,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"log/slog"
 	"net"
 	"os"
 	"path/filepath"
@@ -58,7 +59,8 @@ func ownerCmd(fs *flag.FlagSet) func() error {
 		}
 		defer d.close()
 		logger := d.logger
-		if owner != nil {
+		restored := owner != nil
+		if restored {
 			logger.Info("restored owner state", "path", *state)
 		} else if owner, err = core.NewOwner(p, *seed); err != nil {
 			return err
@@ -86,6 +88,11 @@ func ownerCmd(fs *flag.FlagSet) func() error {
 				return fmt.Errorf("upload: %w", err)
 			}
 			logger.Info("uploaded documents", "documents", len(items), "cloud", topo.String())
+		}
+		if !restored {
+			if err := checkFreshCloud(topo, len(items), logger); err != nil {
+				return err
+			}
 		}
 		// Enrollments save concurrently with each other and with the
 		// shutdown save; saveMu keeps one writer on the file at a time.
@@ -123,6 +130,23 @@ func ownerCmd(fs *flag.FlagSet) func() error {
 		// The listener is closed: persist; the sidecar closes last (deferred).
 		return saveState()
 	}
+}
+
+// checkFreshCloud refuses an owner with fresh keys in front of a cloud
+// holding documents it did not just upload: those were indexed under other
+// bin keys, so every search would silently match nothing. A cloud that
+// cannot be counted is logged and tolerated — an owner with nothing to
+// upload may start before the cloud does.
+func checkFreshCloud(topo cluster.Config, uploaded int, logger *slog.Logger) error {
+	parts, err := service.FetchClusterStats(topo)
+	if held := service.AggregateClusterStats(parts).NumDocuments; held > uploaded {
+		return fmt.Errorf("the cloud holds %d documents but this owner, with fresh keys, uploaded %d: "+
+			"the rest were indexed under another owner's keys; restart with the -state that indexed them", held, uploaded)
+	}
+	if err != nil {
+		logger.Warn("could not count the cloud's documents", "err", err)
+	}
+	return nil
 }
 
 // loadDocuments reads a directory of plain-text documents, or generates a

@@ -113,9 +113,11 @@
 // The client is three layers: a transport (one lazily redialed,
 // deadline-bounded endpoint per daemon), a router (partition map, one
 // per-partition read routine, one mutate routine, scatter/merge) and a
-// crypto session (enrolment, trapdoor cache, blind decryption). Every
-// exchange with a cloud daemon is bounded by PartitionTimeout, and every
-// read follows the same order: (1) a rotating, lag-probed replica — only
+// crypto session (enrolment, trapdoor cache, blind decryption). The owner's
+// bulk verbs and mkse client stats build the router the Client embeds, so
+// an owner's upload follows a promotion as a user's delete does. Every
+// exchange is bounded: PartitionTimeout for a cloud daemon, DialTimeout for
+// the owner. Every read follows the same order: (1) a rotating, lag-probed replica — only
 // for searches, and only if AddReadReplicas registered any, skipping
 // followers that lag beyond MaxReplicaLag; (2) the partition's primary;
 // (3) on a transport failure or a read-only rejection, the promoted

@@ -170,6 +170,21 @@ func TestSeveredPartitionNamedInError(t *testing.T) {
 	if len(batch) != 2 {
 		t.Errorf("batch returned %d result sets, want 2 (partial)", len(batch))
 	}
+
+	// The operator's stats verb goes through the same router: the
+	// survivors answer and the severed partition is named.
+	stats, err := service.FetchClusterStats(f.cfg)
+	if !errors.As(err, &partial) || len(partial.Failures) != 1 || partial.Failures[0].Partition != 2 {
+		t.Fatalf("stats against a severed partition: got %v, want a *cluster.PartialError naming partition 2", err)
+	}
+	if len(stats) != 3 || stats[2] != nil {
+		t.Fatalf("stats returned %v, want three entries with none for partition 2", stats)
+	}
+	for i, st := range stats[:2] {
+		if want := f.clu.Primaries[i].Svc.Server.NumDocuments(); st == nil || st.NumDocuments != want {
+			t.Errorf("partition %d stats %+v, want its %d documents", i, st, want)
+		}
+	}
 }
 
 // When the dead partition has a read replica, the fan-out must fall back to
@@ -219,6 +234,11 @@ func TestStalledPrimaryBoundsMutationAndFetch(t *testing.T) {
 		t.Fatalf("only %d documents hash to partition 1, need 3", len(owned))
 	}
 
+	si, enc, err := f.owner.Prepare(f.ownedBy(t, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+
 	f.proxy.Stall()
 	bounded := func(name string, call func() error) {
 		t.Helper()
@@ -236,6 +256,12 @@ func TestStalledPrimaryBoundsMutationAndFetch(t *testing.T) {
 	}
 	bounded("delete", func() error { return f.client.Delete(owned[0]) })
 	bounded("retrieve", func() error { _, err := f.client.Retrieve(owned[1]); return err })
+	// The owner's bulk verbs route through the same router, under the same
+	// bound.
+	bounded("bulk upload", func() error {
+		return service.UploadAllCluster(f.cfg, []service.UploadItem{{Index: si, Doc: enc}})
+	})
+	bounded("bulk delete", func() error { return service.DeleteAllCluster(f.cfg, owned[:2]) })
 
 	// Healthy partitions stay writable on the same client meanwhile.
 	if err := f.client.Delete(f.ownedBy(t, 0).ID); err != nil {
@@ -250,6 +276,49 @@ func TestStalledPrimaryBoundsMutationAndFetch(t *testing.T) {
 	}
 	if err := f.client.Delete(owned[2]); err != nil {
 		t.Errorf("delete after stall lifted: %v, want recovery via redial", err)
+	}
+}
+
+// A stalled owner daemon must bound the client's owner exchanges as a
+// stalled primary bounds its cloud exchanges: a trapdoor fetch for a new
+// word returns a timeout within DialTimeout instead of waiting forever
+// under the client mutex.
+func TestStalledOwnerBoundsTrapdoorFetch(t *testing.T) {
+	owner := propertyOwner(t, rank.Levels{1, 5, 10}, 207)
+	clu, err := harness.StartCluster(owner.Params(), 1, harness.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(clu.Close)
+	ol, oaddr, err := harness.StartOwner(owner)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ol.Close() })
+	proxy, err := faultnet.Listen(oaddr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	client, err := service.DialCluster("stalled-owner-user", proxy.Addr(), clu.Config())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { client.Close() })
+	// Registered last, so it runs first: closing the proxy releases a
+	// request still blocked behind the stall before Close takes the mutex.
+	t.Cleanup(proxy.Close)
+
+	proxy.Stall()
+	done := make(chan error, 1)
+	go func() { done <- client.EnsureTrapdoors([]string{"asked-after-the-stall"}) }()
+	select {
+	case err := <-done:
+		var ne net.Error
+		if !errors.As(err, &ne) || !ne.Timeout() {
+			t.Errorf("trapdoor fetch against a stalled owner: got %v, want a timeout", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("trapdoor fetch still blocked after 10s: the stalled owner wedged the client")
 	}
 }
 
@@ -294,6 +363,25 @@ func TestClusterClientFollowsPartitionFailover(t *testing.T) {
 	}
 	if _, err := promoted.Eng.Server().Fetch(victim.ID); err == nil {
 		t.Error("the delete did not land on the promoted primary")
+	}
+	// The owner's bulk upload follows the same promotion: a new partition-1
+	// document lands on the promoted primary and joins the reference.
+	fresh := *victim
+	for n := 0; fresh.ID == victim.ID || f.cfg.Map().Owner(fresh.ID) != 1; n++ {
+		fresh.ID = fmt.Sprintf("after-failover-%d", n)
+	}
+	si, enc, err := owner.Prepare(&fresh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := service.UploadAllCluster(f.cfg, []service.UploadItem{{Index: si, Doc: enc}}); err != nil {
+		t.Fatalf("bulk upload of a partition-1 document across its failover: %v", err)
+	}
+	if err := ref.Upload(si, enc); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := promoted.Eng.Server().Fetch(fresh.ID); err != nil {
+		t.Errorf("the bulk upload did not land on the promoted primary: %v", err)
 	}
 	matches, err := f.client.Search(target.Keywords()[:2], 0)
 	if err != nil {

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"errors"
 	"fmt"
 
 	"mkse/internal/cluster"
@@ -8,11 +9,12 @@ import (
 	"mkse/internal/protocol"
 )
 
-// The owner's and operator's one-shot verbs: raw exchanges with cloud
-// daemons that need no enrolled user. The bulk verbs hold one connection
-// for the whole batch; the single-exchange verbs go through protocol.Call
-// under DialTimeout, so a daemon that accepts and never answers cannot
-// wedge the caller.
+// The owner's and operator's one-shot verbs, which need no enrolled user.
+// The bulk verbs route through a router of their own exactly as a Client
+// does: to the owning partition's primary, following a promotion, under
+// DefaultPartitionTimeout. The single-daemon verbs go through protocol.Call
+// under DialTimeout. Either way a daemon that never answers cannot wedge
+// the caller.
 
 // UploadItem pairs a search index with its encrypted document.
 type UploadItem struct {
@@ -20,97 +22,61 @@ type UploadItem struct {
 	Doc   *core.EncryptedDocument
 }
 
-// UploadAll pushes prepared documents from the owner to the cloud daemon —
-// the owner-side upload of Figure 1's offline stage.
+// UploadAll pushes prepared documents from the owner to one cloud daemon —
+// UploadAllCluster over a one-partition topology.
 func UploadAll(cloudAddr string, items []UploadItem) error {
-	ep := &endpoint{addr: cloudAddr}
-	if err := ep.dial(DialTimeout); err != nil {
-		return fmt.Errorf("service: dialing cloud: %w", err)
+	return UploadAllCluster(onePartition(cloudAddr), items)
+}
+
+// DeleteAll removes documents from one cloud daemon by ID — DeleteAllCluster
+// over a one-partition topology.
+func DeleteAll(cloudAddr string, docIDs []string) error {
+	return DeleteAllCluster(onePartition(cloudAddr), docIDs)
+}
+
+// UploadAllCluster pushes prepared documents to the cluster, each to the
+// primary of the partition owning its document ID — the owner-side upload
+// of Figure 1's offline stage. Connections are dialed on first use and no
+// partition identity is exchanged: a daemon holding another partition
+// rejects the upload with protocol.CodeWrongPartition.
+func UploadAllCluster(cfg cluster.Config, items []UploadItem) error {
+	r, err := newRouter(cfg)
+	if err != nil {
+		return err
 	}
-	defer ep.drop()
+	defer r.dropAll()
 	for _, it := range items {
 		levels := make([][]byte, len(it.Index.Levels))
 		for i, l := range it.Index.Levels {
 			levels[i] = marshalVector(l)
 		}
-		resp, err := ep.roundtrip(&protocol.Message{UploadReq: &protocol.UploadRequest{
+		resp, err := r.mutate(it.Index.DocID, &protocol.Message{UploadReq: &protocol.UploadRequest{
 			DocID:      it.Index.DocID,
 			Levels:     levels,
 			Ciphertext: it.Doc.Ciphertext,
 			EncKey:     it.Doc.EncKey,
-		}}, 0)
+		}})
+		if err == nil && resp.UploadResp == nil {
+			err = errors.New("response missing")
+		}
 		if err != nil {
 			return fmt.Errorf("service: uploading %q: %w", it.Index.DocID, err)
 		}
-		if resp.UploadResp == nil {
-			return fmt.Errorf("service: upload response missing for %q", it.Index.DocID)
-		}
 	}
 	return nil
 }
 
-// DeleteAll removes documents from the cloud daemon by ID — the owner-side
-// retraction mirroring UploadAll.
-func DeleteAll(cloudAddr string, docIDs []string) error {
-	ep := &endpoint{addr: cloudAddr}
-	if err := ep.dial(DialTimeout); err != nil {
-		return fmt.Errorf("service: dialing cloud: %w", err)
-	}
-	defer ep.drop()
-	for _, id := range docIDs {
-		resp, err := ep.roundtrip(&protocol.Message{DeleteReq: &protocol.DeleteRequest{DocID: id}}, 0)
-		if err != nil {
-			return fmt.Errorf("service: deleting %q: %w", id, err)
-		}
-		if resp.DeleteResp == nil {
-			return fmt.Errorf("service: delete response missing for %q", id)
-		}
-	}
-	return nil
-}
-
-// UploadAllCluster pushes prepared documents to the cluster, routing each to
-// the partition primary owning its document ID — the owner-side upload of
-// Figure 1's offline stage, partitioned.
-func UploadAllCluster(cfg cluster.Config, items []UploadItem) error {
-	if err := cfg.Validate(); err != nil {
-		return err
-	}
-	m := cfg.Map()
-	groups := make([][]UploadItem, cfg.P())
-	for _, it := range items {
-		i := m.Owner(it.Index.DocID)
-		groups[i] = append(groups[i], it)
-	}
-	for i, g := range groups {
-		if len(g) == 0 {
-			continue
-		}
-		if err := UploadAll(cfg.Partitions[i].Primary, g); err != nil {
-			return fmt.Errorf("service: partition %d: %w", i, err)
-		}
-	}
-	return nil
-}
-
-// DeleteAllCluster removes documents from the cluster by ID, routing each
-// deletion to the owning partition primary.
+// DeleteAllCluster removes documents from the cluster by ID, each through
+// the primary of the partition owning it (see UploadAllCluster).
 func DeleteAllCluster(cfg cluster.Config, docIDs []string) error {
-	if err := cfg.Validate(); err != nil {
+	r, err := newRouter(cfg)
+	if err != nil {
 		return err
 	}
-	m := cfg.Map()
-	groups := make([][]string, cfg.P())
+	defer r.dropAll()
 	for _, id := range docIDs {
-		i := m.Owner(id)
-		groups[i] = append(groups[i], id)
-	}
-	for i, g := range groups {
-		if len(g) == 0 {
-			continue
-		}
-		if err := DeleteAll(cfg.Partitions[i].Primary, g); err != nil {
-			return fmt.Errorf("service: partition %d: %w", i, err)
+		if err := r.deleteDoc(id); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -130,22 +96,19 @@ func FetchStats(cloudAddr string) (*protocol.StatsResponse, error) {
 	return resp.StatsResp, nil
 }
 
-// FetchClusterStats asks every partition primary for its operational
-// counters without enrolling a user — the operator's one-shot cluster
-// introspection path.
+// FetchClusterStats asks every partition for its operational counters
+// without enrolling a user — the operator's one-shot cluster introspection
+// path, the router's scatter: a partition whose primary does not answer is
+// asked through its replicas. When partitions are missing entirely, the
+// surviving entries are returned (nil at the failed indices) alongside a
+// *cluster.PartialError.
 func FetchClusterStats(cfg cluster.Config) ([]*protocol.StatsResponse, error) {
-	if err := cfg.Validate(); err != nil {
+	r, err := newRouter(cfg)
+	if err != nil {
 		return nil, err
 	}
-	out := make([]*protocol.StatsResponse, cfg.P())
-	for i, p := range cfg.Partitions {
-		st, err := FetchStats(p.Primary)
-		if err != nil {
-			return nil, fmt.Errorf("service: partition %d (%s): %w", i, p.Primary, err)
-		}
-		out[i] = st
-	}
-	return out, nil
+	defer r.dropAll()
+	return r.scatterStats()
 }
 
 // Promote asks the daemon at cloudAddr to become primary at the given

@@ -2,11 +2,11 @@ package service
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/big"
 	"strconv"
 	"sync"
-	"time"
 
 	"mkse/internal/bitindex"
 	"mkse/internal/cluster"
@@ -25,26 +25,13 @@ import (
 // The client is three layers, one per file: the transport (endpoint.go: one
 // lazily redialed, deadline-bounded connection per daemon), the router
 // (router.go: the partition map, the per-partition read order and mutate
-// routine, scatter-gather and merge) and the crypto session (this file:
-// enrollment, the trapdoor cache, query building and blind decryption).
+// routine, scatter-gather and merge — the same router the owner's bulk
+// verbs use) and the crypto session (this file: enrollment, the trapdoor
+// cache, query building and blind decryption). The router's
+// PartitionTimeout, MaxReplicaLag and ReplicaProbeEvery are set on the
+// Client.
 type Client struct {
 	UserID string
-
-	// MaxReplicaLag is the most records a replica may trail the primary and
-	// still serve this client's reads (0 = DefaultMaxReplicaLag). Set
-	// before the first search.
-	MaxReplicaLag uint64
-
-	// ReplicaProbeEvery is how often a replica's position is re-checked
-	// with a status request before trusting it with reads (0 = 1s). Set
-	// before the first search.
-	ReplicaProbeEvery time.Duration
-
-	// PartitionTimeout bounds each exchange with a cloud daemon — a
-	// partition's share of a scatter-gather read, a routed fetch or delete,
-	// a status probe (0 = DefaultPartitionTimeout). Set before the first
-	// request.
-	PartitionTimeout time.Duration
 
 	// Tracer, when set, samples this client's searches into distributed
 	// traces: the coordinator records the root span, scatter/partition/
@@ -54,22 +41,17 @@ type Client struct {
 	// rate.
 	Tracer *trace.Tracer
 
+	router
+
 	mu    sync.Mutex
 	owner *endpoint
 	user  *core.User
-
-	// The router's state: the topology the client was dialed with and one
-	// partition (primary + replicas) per entry of it.
-	topo  cluster.Config
-	parts []*partition
 }
 
 // Dial connects to the owner daemon and a single cloud daemon: a
 // one-partition cluster (see DialCluster).
 func Dial(userID, ownerAddr, cloudAddr string) (*Client, error) {
-	return DialCluster(userID, ownerAddr, cluster.Config{
-		Partitions: []cluster.Partition{{Primary: cloudAddr}},
-	})
+	return DialCluster(userID, ownerAddr, onePartition(cloudAddr))
 }
 
 // DialCluster connects to the owner daemon and to every partition primary in
@@ -87,14 +69,15 @@ func Dial(userID, ownerAddr, cloudAddr string) (*Client, error) {
 // Search/SearchBatch return the merged results from the surviving
 // partitions alongside a *cluster.PartialError naming the dead ones.
 func DialCluster(userID, ownerAddr string, cfg cluster.Config) (*Client, error) {
-	if err := cfg.Validate(); err != nil {
+	r, err := newRouter(cfg)
+	if err != nil {
 		return nil, err
 	}
-	c := &Client{UserID: userID, owner: &endpoint{addr: ownerAddr}}
+	c := &Client{UserID: userID, router: r, owner: &endpoint{addr: ownerAddr}}
 	if err := c.owner.dial(DialTimeout); err != nil {
 		return nil, fmt.Errorf("service: dialing owner: %w", err)
 	}
-	err := c.dialPartitions(cfg)
+	err = c.dialPrimaries()
 	if err == nil {
 		err = c.enroll()
 	}
@@ -105,10 +88,10 @@ func DialCluster(userID, ownerAddr string, cfg cluster.Config) (*Client, error) 
 	return c, nil
 }
 
-// ownerCall runs one exchange with the owner daemon, redialing it if an
-// earlier exchange broke the connection.
+// ownerCall runs one exchange with the owner daemon under DialTimeout,
+// redialing it if an earlier exchange broke the connection.
 func (c *Client) ownerCall(m *protocol.Message) (*protocol.Message, error) {
-	return c.owner.call(m, DialTimeout, 0)
+	return c.owner.call(m, DialTimeout, DialTimeout)
 }
 
 // enroll bootstraps the user. The signature key pair must exist before the
@@ -157,20 +140,12 @@ func (c *Client) enroll() error {
 func (c *Client) User() *core.User { return c.user }
 
 // Close tears down the owner, primary and replica connections. It waits
-// for an exchange in flight, which for the cloud side is bounded by
-// PartitionTimeout.
+// for an exchange in flight, which is bounded by PartitionTimeout (cloud)
+// or DialTimeout (owner).
 func (c *Client) Close() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	first := c.owner.drop()
-	for _, p := range c.parts {
-		for _, ep := range append([]*endpoint{p.primary}, p.replicas...) {
-			if err := ep.drop(); err != nil && first == nil {
-				first = err
-			}
-		}
-	}
-	return first
+	return errors.Join(c.owner.drop(), c.dropAll())
 }
 
 // EnsureTrapdoors fetches trapdoor material for any keyword of the given
@@ -389,19 +364,13 @@ func (c *Client) ClusterStats() ([]*protocol.StatsResponse, error) {
 	return c.scatterStats()
 }
 
-// Delete asks the cloud daemon owning the document to remove it. In the
-// paper's model removal is the data owner's act; the client method exists
-// for deployments where the owner drives the cloud through the same
+// Delete asks the cloud daemon owning the document to remove it (the
+// router's mutate routine). In the paper's model removal is the data
+// owner's act; the client method exists for deployments where the owner
+// drives the cloud through the same
 // connection pair.
 func (c *Client) Delete(docID string) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	resp, err := c.askPrimary(context.Background(), c.owning(docID), &protocol.Message{DeleteReq: &protocol.DeleteRequest{DocID: docID}})
-	if err != nil {
-		return fmt.Errorf("service: delete: %w", err)
-	}
-	if resp.DeleteResp == nil {
-		return fmt.Errorf("service: delete response missing")
-	}
-	return nil
+	return c.deleteDoc(docID)
 }

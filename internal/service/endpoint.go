@@ -9,9 +9,11 @@ import (
 )
 
 // DialTimeout bounds every owner/cloud connection attempt this package
-// makes (Dial, the raw owner-side helpers, replication streams, and the
-// failover verbs), so a black-holed address fails fast instead of hanging
-// for the kernel's connect timeout. Override before dialing.
+// makes (Dial, the single-daemon operator verbs, replication streams, and
+// the failover verbs), so a black-holed address fails fast instead of
+// hanging for the kernel's connect timeout. It also bounds each exchange
+// of a Client with the owner daemon. Override before dialing; it must be
+// positive.
 var DialTimeout = 5 * time.Second
 
 // redialTimeout bounds connection attempts made on the request path, after
@@ -56,23 +58,20 @@ func (e *endpoint) dial(timeout time.Duration) error {
 	return nil
 }
 
-// roundtrip runs one exchange on the connected endpoint, under a wall-clock
-// deadline when d > 0. Any transport error drops the connection: a deadline
-// that fires mid-frame leaves the stream unframed, so it can never be
-// reused. A *protocol.RemoteError is an answer, not a transport error, and
-// keeps the connection.
+// roundtrip runs one exchange on the connected endpoint under a wall-clock
+// deadline d; every caller passes a positive budget, so no exchange can
+// wait forever. Any transport error drops the connection: a deadline that
+// fires mid-frame leaves the stream unframed, so it can never be reused. A
+// *protocol.RemoteError is an answer, not a transport error, and keeps the
+// connection.
 func (e *endpoint) roundtrip(m *protocol.Message, d time.Duration) (*protocol.Message, error) {
-	if d > 0 {
-		e.raw.SetDeadline(time.Now().Add(d))
-	}
+	e.raw.SetDeadline(time.Now().Add(d))
 	resp, err := e.conn.Roundtrip(m)
 	if isTransport(err) {
 		e.drop()
 		return nil, err
 	}
-	if d > 0 {
-		e.raw.SetDeadline(time.Time{})
-	}
+	e.raw.SetDeadline(time.Time{})
 	return resp, err
 }
 

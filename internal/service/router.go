@@ -24,11 +24,39 @@ const DefaultPartitionTimeout = 2 * time.Second
 // primary before the client routes its reads back to the primary.
 const DefaultMaxReplicaLag = 1024
 
+// router decides where every exchange with the cloud goes: the topology,
+// one partition (primary + replicas) per entry of it, and the budgets that
+// bound and steer each exchange. A user's Client embeds one beside its
+// crypto session; the one-shot verbs (UploadAllCluster, DeleteAllCluster,
+// FetchClusterStats) build one per call. Its methods assume the caller
+// owns it: the Client holds its mutex, a one-shot verb is the router's
+// only user.
+type router struct {
+	// MaxReplicaLag is the most records a replica may trail the primary and
+	// still serve this client's reads (0 = DefaultMaxReplicaLag). Set
+	// before the first search.
+	MaxReplicaLag uint64
+
+	// ReplicaProbeEvery is how often a replica's position is re-checked
+	// with a status request before trusting it with reads (0 = 1s). Set
+	// before the first search.
+	ReplicaProbeEvery time.Duration
+
+	// PartitionTimeout bounds each exchange with a cloud daemon — a
+	// partition's share of a scatter-gather read, a routed fetch, upload or
+	// delete, a status probe (0 = DefaultPartitionTimeout). Set before the
+	// first request.
+	PartitionTimeout time.Duration
+
+	topo  cluster.Config
+	parts []*partition
+}
+
 // partition is the router's view of one partition: the endpoint currently
 // believed to be its primary, and every other server known to hold its
-// corpus slice. All access is serialized by the Client's mutex, except
+// corpus slice. All access is serialized by the router's owner, except
 // during a scatter-gather fan-out, where each goroutine owns exactly one
-// partition while the fan-out holds the mutex.
+// partition.
 type partition struct {
 	index   int
 	primary *endpoint
@@ -41,53 +69,64 @@ type partition struct {
 	next     int // rotation cursor
 }
 
-// dialPartitions connects to every partition primary in the topology and
-// verifies each server's reported partition identity against its position
-// in the config.
-func (c *Client) dialPartitions(cfg cluster.Config) error {
-	c.topo = cfg
+// newRouter builds a router over a topology. Nothing is dialed: each
+// endpoint connects on its first exchange.
+func newRouter(cfg cluster.Config) (router, error) {
+	if err := cfg.Validate(); err != nil {
+		return router{}, err
+	}
+	r := router{topo: cfg}
 	for i, pc := range cfg.Partitions {
 		p := &partition{index: i, primary: &endpoint{addr: pc.Primary}}
 		for _, addr := range pc.Replicas {
 			p.replicas = append(p.replicas, &endpoint{addr: addr})
 		}
-		c.parts = append(c.parts, p)
-		if err := p.primary.dial(DialTimeout); err != nil {
-			return fmt.Errorf("service: dialing partition %d (%s): %w", i, pc.Primary, err)
+		r.parts = append(r.parts, p)
+	}
+	return r, nil
+}
+
+// onePartition is the topology of a single cloud daemon.
+func onePartition(addr string) cluster.Config {
+	return cluster.Config{Partitions: []cluster.Partition{{Primary: addr}}}
+}
+
+// dialPrimaries connects to every partition primary and performs the
+// partition-map exchange: the server at config position i must report
+// identity i/P, so a miswired address list (wrong order, wrong count, a
+// server from another cluster) is caught at dial time rather than silently
+// misrouting documents. A server with no cluster identity at all is
+// tolerated only in a single-partition topology, where every routing
+// decision is trivially correct.
+func (r *router) dialPrimaries() error {
+	n := len(r.parts)
+	for i, p := range r.parts {
+		resp, err := p.primary.call(&protocol.Message{ClusterInfoReq: &protocol.ClusterInfoRequest{}}, DialTimeout, DialTimeout)
+		if err != nil {
+			return fmt.Errorf("service: cluster info from partition %d (%s): %w", i, p.primary.addr, err)
 		}
-		if err := verifyPartitionIdentity(p.primary, i, cfg.P()); err != nil {
-			return err
+		switch ci := resp.ClusterInfoResp; {
+		case ci == nil:
+			return fmt.Errorf("service: cluster info response missing from partition %d", i)
+		case ci.Partitions == 0 && n > 1:
+			return fmt.Errorf("service: partition %d reports no cluster identity, want %d/%d", i, i, n)
+		case ci.Partitions != 0 && (ci.Partition != i || ci.Partitions != n):
+			return fmt.Errorf("service: partition %d reports identity %d/%d, want %d/%d",
+				i, ci.Partition, ci.Partitions, i, n)
 		}
 	}
 	return nil
 }
 
-// verifyPartitionIdentity performs the partition-map exchange: the server at
-// config position i must report identity i/P, so a miswired address list
-// (wrong order, wrong count, a server from another cluster) is caught at
-// dial time rather than silently misrouting documents. A server with no
-// cluster identity at all is tolerated only in a single-partition topology,
-// where every routing decision is trivially correct.
-func verifyPartitionIdentity(ep *endpoint, i, p int) error {
-	resp, err := ep.roundtrip(&protocol.Message{ClusterInfoReq: &protocol.ClusterInfoRequest{}}, DialTimeout)
-	if err != nil {
-		return fmt.Errorf("service: cluster info from partition %d: %w", i, err)
-	}
-	ci := resp.ClusterInfoResp
-	if ci == nil {
-		return fmt.Errorf("service: cluster info response missing from partition %d", i)
-	}
-	if ci.Partitions == 0 {
-		if p == 1 {
-			return nil
+// dropAll closes every primary and replica connection.
+func (r *router) dropAll() error {
+	var errs []error
+	for _, p := range r.parts {
+		for _, ep := range append([]*endpoint{p.primary}, p.replicas...) {
+			errs = append(errs, ep.drop())
 		}
-		return fmt.Errorf("service: partition %d reports no cluster identity, want %d/%d", i, i, p)
 	}
-	if ci.Partition != i || ci.Partitions != p {
-		return fmt.Errorf("service: partition %d reports identity %d/%d, want %d/%d",
-			i, ci.Partition, ci.Partitions, i, p)
-	}
-	return nil
+	return errors.Join(errs...)
 }
 
 // ClusterConfig returns the topology this client was dialed with — a
@@ -140,23 +179,23 @@ func (c *Client) ReadDistribution() map[string]uint64 {
 	return out
 }
 
-func (c *Client) partitionTimeout() time.Duration {
-	if c.PartitionTimeout > 0 {
-		return c.PartitionTimeout
+func (r *router) partitionTimeout() time.Duration {
+	if r.PartitionTimeout > 0 {
+		return r.PartitionTimeout
 	}
 	return DefaultPartitionTimeout
 }
 
-func (c *Client) maxLag() uint64 {
-	if c.MaxReplicaLag > 0 {
-		return c.MaxReplicaLag
+func (r *router) maxLag() uint64 {
+	if r.MaxReplicaLag > 0 {
+		return r.MaxReplicaLag
 	}
 	return DefaultMaxReplicaLag
 }
 
-func (c *Client) probeEvery() time.Duration {
-	if c.ReplicaProbeEvery > 0 {
-		return c.ReplicaProbeEvery
+func (r *router) probeEvery() time.Duration {
+	if r.ReplicaProbeEvery > 0 {
+		return r.ReplicaProbeEvery
 	}
 	return time.Second
 }
@@ -164,7 +203,7 @@ func (c *Client) probeEvery() time.Duration {
 // attempt is one try of a request against one server, redialing it first
 // when its connection was dropped, under the partition timeout. Sampled
 // traces get an "attempt" span (and a "redial" child when one happened).
-func (c *Client) attempt(ctx context.Context, ep *endpoint, role string, m *protocol.Message) (*protocol.Message, error) {
+func (r *router) attempt(ctx context.Context, ep *endpoint, role string, m *protocol.Message) (*protocol.Message, error) {
 	actx, sp := trace.Start(ctx, "attempt")
 	sp.SetAttr("addr", ep.addr)
 	sp.SetAttr("role", role)
@@ -176,7 +215,7 @@ func (c *Client) attempt(ctx context.Context, ep *endpoint, role string, m *prot
 		dsp.End()
 	}
 	if err == nil {
-		resp, err = ep.roundtrip(m, c.partitionTimeout())
+		resp, err = ep.roundtrip(m, r.partitionTimeout())
 	}
 	if err != nil {
 		sp.SetAttr("error", err.Error())
@@ -217,27 +256,27 @@ func lostPrimary(err error) bool {
 // server understood the request and rejected it, and every server holding
 // the partition would.
 //
-// The caller must own the partition exclusively — either by holding the
-// Client mutex, or by being the one fan-out goroutine assigned to this
-// partition while the mutex is held.
-func (c *Client) readPart(ctx context.Context, p *partition, m *protocol.Message, balance bool) (*protocol.Message, string, error) {
+// The caller must own the partition exclusively — either by owning the
+// router, or by being the one fan-out goroutine assigned to this partition
+// while the router's owner waits.
+func (r *router) readPart(ctx context.Context, p *partition, m *protocol.Message, balance bool) (*protocol.Message, string, error) {
 	if balance {
-		if ep := c.pickReplica(p); ep != nil {
-			resp, err := c.attempt(ctx, ep, "replica", m)
+		if ep := r.pickReplica(p); ep != nil {
+			resp, err := r.attempt(ctx, ep, "replica", m)
 			if !isTransport(err) {
 				ep.reads++
 				return resp, ep.addr, err
 			}
-			ep.bench(c.probeEvery())
+			ep.bench(r.probeEvery())
 		}
 	}
-	resp, err := c.askPrimary(ctx, p, m)
+	resp, err := r.askPrimary(ctx, p, m)
 	if !isTransport(err) {
 		p.primary.reads++
 		return resp, p.primary.addr, err
 	}
 	for _, ep := range p.replicas {
-		resp, rerr := c.attempt(ctx, ep, "replica", m)
+		resp, rerr := r.attempt(ctx, ep, "replica", m)
 		if !isTransport(rerr) {
 			ep.reads++
 			return resp, ep.addr, rerr
@@ -251,10 +290,10 @@ func (c *Client) readPart(ctx context.Context, p *partition, m *protocol.Message
 // the whole mutate routine: mutations never touch a replica, because a
 // follower would reject them as read-only and routing them elsewhere would
 // fork the partition's history.
-func (c *Client) askPrimary(ctx context.Context, p *partition, m *protocol.Message) (*protocol.Message, error) {
-	resp, err := c.attempt(ctx, p.primary, "primary", m)
-	if lostPrimary(err) && c.followPrimary(p) {
-		resp, err = c.attempt(ctx, p.primary, "primary", m)
+func (r *router) askPrimary(ctx context.Context, p *partition, m *protocol.Message) (*protocol.Message, error) {
+	resp, err := r.attempt(ctx, p.primary, "primary", m)
+	if lostPrimary(err) && r.followPrimary(p) {
+		resp, err = r.attempt(ctx, p.primary, "primary", m)
 	}
 	return resp, err
 }
@@ -266,11 +305,11 @@ func (c *Client) askPrimary(ctx context.Context, p *partition, m *protocol.Messa
 // highest term any replica reports is a deposed primary that was never
 // fenced, and is refused. The deposed endpoint joins the replica list: if
 // that daemon resurrects, it will be as a follower.
-func (c *Client) followPrimary(p *partition) bool {
+func (r *router) followPrimary(p *partition) bool {
 	best := -1
 	var bestTerm, maxTerm uint64
 	for i, ep := range p.replicas {
-		st, err := c.stats(ep)
+		st, err := r.stats(ep)
 		if err != nil {
 			continue
 		}
@@ -291,9 +330,9 @@ func (c *Client) followPrimary(p *partition) bool {
 
 // stats asks a server where it stands, on the endpoint's own connection and
 // under the partition timeout.
-func (c *Client) stats(ep *endpoint) (*protocol.StatsResponse, error) {
+func (r *router) stats(ep *endpoint) (*protocol.StatsResponse, error) {
 	resp, err := ep.call(&protocol.Message{StatsReq: &protocol.StatsRequest{}},
-		redialTimeout, c.partitionTimeout())
+		redialTimeout, r.partitionTimeout())
 	if err != nil {
 		return nil, err
 	}
@@ -305,11 +344,11 @@ func (c *Client) stats(ep *endpoint) (*protocol.StatsResponse, error) {
 
 // pickReplica rotates over the partition's read rotation and returns the
 // first replica fit to serve a read, or nil to use the primary.
-func (c *Client) pickReplica(p *partition) *endpoint {
+func (r *router) pickReplica(p *partition) *endpoint {
 	n := len(p.rotation)
 	for i := 0; i < n; i++ {
 		ep := p.rotation[(p.next+i)%n]
-		if ep != p.primary && c.caughtUp(ep) {
+		if ep != p.primary && r.caughtUp(ep) {
 			p.next = (p.next + i + 1) % n
 			return ep
 		}
@@ -320,24 +359,24 @@ func (c *Client) pickReplica(p *partition) *endpoint {
 // caughtUp reports whether a rotation replica is reachable and within the
 // lag budget, dialing and status-probing it as needed. A replica that fails
 // either is benched.
-func (c *Client) caughtUp(ep *endpoint) bool {
+func (r *router) caughtUp(ep *endpoint) bool {
 	now := time.Now()
 	if now.Before(ep.downUntil) {
 		return false
 	}
 	if err := ep.dial(redialTimeout); err != nil {
-		ep.bench(c.probeEvery())
+		ep.bench(r.probeEvery())
 		return false
 	}
-	if now.Sub(ep.checkedAt) >= c.probeEvery() {
-		st, err := c.stats(ep)
+	if now.Sub(ep.checkedAt) >= r.probeEvery() {
+		st, err := r.stats(ep)
 		if err != nil {
-			ep.bench(c.probeEvery())
+			ep.bench(r.probeEvery())
 			return false
 		}
 		ep.checkedAt = now
 		ep.fails = 0
-		ep.lagging = st.PrimaryPosition-st.WALPosition > c.maxLag() || (st.Replica && !st.ReplicaConnected)
+		ep.lagging = st.PrimaryPosition-st.WALPosition > r.maxLag() || (st.Replica && !st.ReplicaConnected)
 	}
 	return !ep.lagging
 }
@@ -345,7 +384,8 @@ func (c *Client) caughtUp(ep *endpoint) bool {
 // scatter fans one read request to every partition concurrently and gathers
 // the responses. resps[i] is nil when partition i (and all its replicas)
 // failed; the returned error is a *cluster.PartialError naming each failed
-// partition, or nil when every partition answered. Caller holds c.mu; each
+// partition, or nil when every partition answered. Caller holds the
+// router exclusively; each
 // goroutine touches only its own partition.
 //
 // Under a sampled trace each partition gets its own "partition" span and a
@@ -353,8 +393,8 @@ func (c *Client) caughtUp(ep *endpoint) bool {
 // the shared Message must not be stamped in place, or every partition would
 // claim the same parent. The partition server's echoed spans are imported
 // under the partition span, assembling the cross-daemon tree client-side.
-func (c *Client) scatter(ctx context.Context, m *protocol.Message, balance bool) ([]*protocol.Message, error) {
-	parts := c.parts
+func (r *router) scatter(ctx context.Context, m *protocol.Message, balance bool) ([]*protocol.Message, error) {
+	parts := r.parts
 	resps := make([]*protocol.Message, len(parts))
 	addrs := make([]string, len(parts))
 	errs := make([]error, len(parts))
@@ -371,7 +411,7 @@ func (c *Client) scatter(ctx context.Context, m *protocol.Message, balance bool)
 				cp.Trace = traceCtxToWire(sp.Context())
 				req = &cp
 			}
-			resps[i], addrs[i], errs[i] = c.readPart(pctx, p, req, balance)
+			resps[i], addrs[i], errs[i] = r.readPart(pctx, p, req, balance)
 			if sp != nil {
 				sp.SetAttr("addr", addrs[i])
 				if errs[i] != nil {
@@ -412,22 +452,22 @@ func (c *Client) scatter(ctx context.Context, m *protocol.Message, balance bool)
 // corpus. When partitions failed, the merged results cover the survivors
 // and the *cluster.PartialError names the rest — callers choose whether a
 // partial answer is usable.
-func (c *Client) scatterSearchBatch(ctx context.Context, wire [][]byte, topK int) ([][]Match, error) {
+func (r *router) scatterSearchBatch(ctx context.Context, wire [][]byte, topK int) ([][]Match, error) {
 	sctx, sp := trace.Start(ctx, "scatter")
-	resps, pe := c.scatter(sctx, &protocol.Message{SearchBatchReq: &protocol.SearchBatchRequest{
+	resps, pe := r.scatter(sctx, &protocol.Message{SearchBatchReq: &protocol.SearchBatchRequest{
 		Queries: wire,
 		TopK:    topK,
 	}}, true)
 	sp.SetAttr("partitions", strconv.Itoa(len(resps)))
 	sp.End()
-	for pi, r := range resps {
-		if r == nil {
+	for pi, resp := range resps {
+		if resp == nil {
 			continue
 		}
-		if r.SearchBatchResp == nil {
+		if resp.SearchBatchResp == nil {
 			return nil, fmt.Errorf("service: batch search response missing from partition %d", pi)
 		}
-		if got := len(r.SearchBatchResp.Results); got != len(wire) {
+		if got := len(resp.SearchBatchResp.Results); got != len(wire) {
 			return nil, fmt.Errorf("service: partition %d returned %d result sets for %d queries", pi, got, len(wire))
 		}
 	}
@@ -435,9 +475,9 @@ func (c *Client) scatterSearchBatch(ctx context.Context, wire [][]byte, topK int
 	lists := make([][]protocol.MatchWire, 0, len(resps))
 	for qi := range out {
 		lists = lists[:0]
-		for _, r := range resps {
-			if r != nil {
-				lists = append(lists, r.SearchBatchResp.Results[qi])
+		for _, resp := range resps {
+			if resp != nil {
+				lists = append(lists, resp.SearchBatchResp.Results[qi])
 			}
 		}
 		out[qi] = cluster.MergeWire(lists, topK)
@@ -446,24 +486,43 @@ func (c *Client) scatterSearchBatch(ctx context.Context, wire [][]byte, topK int
 }
 
 // scatterStats fetches one StatsResponse per partition, in partition order.
-func (c *Client) scatterStats() ([]*protocol.StatsResponse, error) {
-	resps, pe := c.scatter(context.Background(), &protocol.Message{StatsReq: &protocol.StatsRequest{}}, false)
+func (r *router) scatterStats() ([]*protocol.StatsResponse, error) {
+	resps, pe := r.scatter(context.Background(), &protocol.Message{StatsReq: &protocol.StatsRequest{}}, false)
 	out := make([]*protocol.StatsResponse, len(resps))
-	for i, r := range resps {
-		if r == nil {
+	for i, resp := range resps {
+		if resp == nil {
 			continue
 		}
-		if r.StatsResp == nil {
+		if resp.StatsResp == nil {
 			return nil, fmt.Errorf("service: stats response missing from partition %d", i)
 		}
-		out[i] = r.StatsResp
+		out[i] = resp.StatsResp
 	}
 	return out, pe
 }
 
 // owning returns the partition owning a document ID.
-func (c *Client) owning(docID string) *partition {
-	return c.parts[c.topo.Map().Owner(docID)]
+func (r *router) owning(docID string) *partition {
+	return r.parts[r.topo.Map().Owner(docID)]
+}
+
+// mutate sends a mutation of one document to the primary of the partition
+// owning it — the one write path, for the owner's bulk verbs and
+// Client.Delete alike. It never touches a replica (see askPrimary).
+func (r *router) mutate(docID string, m *protocol.Message) (*protocol.Message, error) {
+	return r.askPrimary(context.Background(), r.owning(docID), m)
+}
+
+// deleteDoc removes one document from the partition owning it.
+func (r *router) deleteDoc(docID string) error {
+	resp, err := r.mutate(docID, &protocol.Message{DeleteReq: &protocol.DeleteRequest{DocID: docID}})
+	if err == nil && resp.DeleteResp == nil {
+		err = errors.New("response missing")
+	}
+	if err != nil {
+		return fmt.Errorf("service: deleting %q: %w", docID, err)
+	}
+	return nil
 }
 
 // AggregateClusterStats folds per-partition stats into one cluster-wide

@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -34,18 +33,15 @@ func (tr Trace) Root() *Span {
 	return &tr.Spans[0]
 }
 
-const bufferShards = 8
-
-// ringShard is a fixed-capacity overwrite ring of traces under its own
-// lock.
-type ringShard struct {
+// ring is a fixed-capacity overwrite ring of traces under its own lock.
+type ring struct {
 	mu   sync.Mutex
 	buf  []Trace
 	next int // insertion cursor
 	n    int // live entries, <= len(buf)
 }
 
-func (r *ringShard) add(tr Trace) {
+func (r *ring) add(tr Trace) {
 	r.mu.Lock()
 	r.buf[r.next] = tr
 	r.next = (r.next + 1) % len(r.buf)
@@ -55,46 +51,38 @@ func (r *ringShard) add(tr Trace) {
 	r.mu.Unlock()
 }
 
-// snapshot appends the shard's live traces, newest first.
-func (r *ringShard) snapshot(dst []Trace) []Trace {
+// latest returns up to max of the ring's live traces (all when max <= 0),
+// most recently added first.
+func (r *ring) latest(max int) []Trace {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for i := 1; i <= r.n; i++ {
-		dst = append(dst, r.buf[(r.next-i+len(r.buf))%len(r.buf)])
+	n := r.n
+	if max > 0 && max < n {
+		n = max
 	}
-	return dst
+	out := make([]Trace, n)
+	for i := range out {
+		out[i] = r.buf[(r.next-1-i+len(r.buf))%len(r.buf)]
+	}
+	return out
 }
 
-// Buffer is the bounded in-memory destination for completed traces: a
-// lock-sharded ring of recent traces (sharded by trace ID so concurrent
-// request completions rarely contend) plus a separate ring that retains
-// only traces whose root span crossed the slow threshold, so slow-query
-// evidence survives long after the recent ring has cycled.
+// Buffer is the bounded in-memory destination for completed traces: a ring
+// of recent traces plus a separate ring that retains only traces whose
+// root span crossed the slow threshold, so slow-query evidence survives
+// long after the recent ring has cycled.
 type Buffer struct {
 	slowNS atomic.Int64
-	recent [bufferShards]ringShard
-	slow   ringShard
+	recent ring
+	slow   ring
 }
 
-// NewBuffer sizes a buffer to retain roughly capacity recent traces (split
-// across the shards) and capacity/2 slow traces.
+// NewBuffer sizes a buffer to retain the capacity most recent traces
+// (at least one) and capacity/2 slow traces (at least 16).
 func NewBuffer(capacity int) *Buffer {
-	if capacity < bufferShards {
-		capacity = bufferShards
-	}
 	b := &Buffer{}
-	per := capacity / bufferShards
-	if per < 1 {
-		per = 1
-	}
-	for i := range b.recent {
-		b.recent[i].buf = make([]Trace, per)
-	}
-	slowCap := capacity / 2
-	if slowCap < 16 {
-		slowCap = 16
-	}
-	b.slow.buf = make([]Trace, slowCap)
+	b.recent.buf = make([]Trace, max(capacity, 1))
+	b.slow.buf = make([]Trace, max(capacity/2, 16))
 	return b
 }
 
@@ -113,7 +101,7 @@ func (b *Buffer) Add(tr Trace) {
 	if b == nil || len(tr.Spans) == 0 {
 		return
 	}
-	b.recent[tr.ID.Lo%bufferShards].add(tr)
+	b.recent.add(tr)
 	if th := b.slowNS.Load(); th > 0 {
 		if root := tr.Root(); root != nil && int64(root.Duration) >= th {
 			b.slow.add(tr)
@@ -121,36 +109,19 @@ func (b *Buffer) Add(tr Trace) {
 	}
 }
 
-// Recent returns up to max traces, newest root first.
+// Recent returns up to max traces, most recently completed first.
 func (b *Buffer) Recent(max int) []Trace {
 	if b == nil {
 		return nil
 	}
-	var all []Trace
-	for i := range b.recent {
-		all = b.recent[i].snapshot(all)
-	}
-	return sortTrim(all, max)
+	return b.recent.latest(max)
 }
 
-// Slow returns up to max slow-retained traces, newest root first.
+// Slow returns up to max slow-retained traces, most recently completed
+// first.
 func (b *Buffer) Slow(max int) []Trace {
 	if b == nil {
 		return nil
 	}
-	return sortTrim(b.slow.snapshot(nil), max)
-}
-
-func sortTrim(all []Trace, max int) []Trace {
-	sort.SliceStable(all, func(i, j int) bool {
-		ri, rj := all[i].Root(), all[j].Root()
-		if ri == nil || rj == nil {
-			return rj == nil
-		}
-		return ri.Start.After(rj.Start)
-	})
-	if max > 0 && len(all) > max {
-		all = all[:max]
-	}
-	return all
+	return b.slow.latest(max)
 }

@@ -21,9 +21,9 @@
 // are still captured as a single root span (Tracer.RecordRoot), so the tail
 // that aggregate histograms flag is always inspectable in /traces/slow.
 //
-// Completed traces land in a bounded lock-sharded ring buffer (Buffer),
-// served by the telemetry sidecar as JSON span trees on /traces (recent)
-// and /traces/slow (retained above the slow threshold).
+// Completed traces land in a bounded ring buffer (Buffer), served by the
+// telemetry sidecar as JSON span trees on /traces (recent) and /traces/slow
+// (retained above the slow threshold).
 package trace
 
 import (

@@ -3,7 +3,9 @@ package trace
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -185,14 +187,21 @@ func TestBufferSlowRetentionAndHandlers(t *testing.T) {
 	}
 }
 
+// NewBuffer(n) keeps exactly the n most recent traces, served newest first.
 func TestBufferRingOverwrites(t *testing.T) {
-	buf := NewBuffer(8) // one slot per shard
+	buf := NewBuffer(8)
 	tr := New("x", 1, buf)
 	for i := 0; i < 100; i++ {
-		tr.RecordRoot("r", time.Now(), time.Millisecond)
+		tr.RecordRoot(fmt.Sprint(i), time.Now(), time.Millisecond)
 	}
-	if got := buf.Recent(1000); len(got) > 8 {
-		t.Fatalf("ring grew past capacity: %d", len(got))
+	got := buf.Recent(1000)
+	if len(got) != 8 {
+		t.Fatalf("ring of capacity 8 holds %d traces after 100 adds", len(got))
+	}
+	for i, g := range got {
+		if want := strconv.Itoa(99 - i); g.Root().Name != want {
+			t.Errorf("Recent[%d] is trace %s, want %s: the 8 most recent, newest first", i, g.Root().Name, want)
+		}
 	}
 }
 
