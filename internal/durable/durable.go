@@ -12,15 +12,23 @@
 //	wal-<lsn>.log         log segment whose first record is mutation <lsn>
 //	checkpoint-<lsn>.ckpt store.SaveCheckpoint snapshot covering mutations [0, lsn)
 //
-// Every mutation is validated, appended to the live segment (fsynced per
-// FsyncPolicy), and only then applied to the in-memory core.Server — so the
-// log is always at least as new as the state it reconstructs. A checkpoint
-// cuts the log at the current LSN: the mutation stream is paused only while
-// the server's state is materialized in memory and the segment rotated
-// (searches keep running throughout; the pause is reported in Stats), then
-// the snapshot is serialized and atomically renamed into place while uploads
-// and deletes continue into the fresh segment, and obsolete files are
-// removed.
+// Every record the engine logs — a local upload or delete, a term bump, a
+// replicated record — is validated by its caller and then goes through one
+// commit routine (commitLocked): appended to the live segment, fsynced per
+// FsyncPolicy (term records always), and only then applied to the in-memory
+// core.Server — so the log is always at least as new as the state it
+// reconstructs. A record is in memory, Position and what ReadWAL serves
+// together or in none of them: a failed write is rolled back, and a failed
+// fsync rolls back the record in flight and refuses every later mutation,
+// since what the segment holds on disk is then unknown.
+//
+// A checkpoint cuts the log at the current LSN: the mutation stream is
+// paused only while the server's state is materialized in memory and the
+// segment rotated (searches keep running throughout; the pause is reported in
+// Stats), then the snapshot is serialized and atomically renamed into place
+// while uploads and deletes continue into the fresh segment, and obsolete
+// files are removed. Every segment, on open, on rotation and on a reset,
+// starts as an empty file through one helper (startSegmentLocked).
 //
 // # Recovery
 //
@@ -32,6 +40,13 @@
 // silently skipping mutations would fork the state from the log. For any
 // crash point, the recovered server's search output is byte-identical to a
 // server that applied exactly the surviving prefix of mutations.
+//
+// ResetToCheckpoint replaces the whole history with a checkpoint shipped
+// from a primary. It first removes the replaced history at or past the
+// shipped position (newer checkpoints, segments from that position on), then
+// installs the shipped checkpoint, then starts an empty segment and removes
+// the older files, so a crash inside the reset recovers either a prefix of
+// the replaced history or the shipped checkpoint.
 package durable
 
 import (
@@ -48,7 +63,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"mkse/internal/bitindex"
 	"mkse/internal/core"
 	"mkse/internal/store"
 	"mkse/internal/telemetry"
@@ -366,28 +380,14 @@ var ErrStaleTerm = errors.New("durable: stale promotion term")
 func (e *Engine) SetTerm(term uint64) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.closing {
-		return ErrClosed
-	}
 	if term < e.term {
 		return fmt.Errorf("%w: have term %d, refused %d", ErrStaleTerm, e.term, term)
 	}
 	if term == e.term {
 		return nil
 	}
-	pos := e.lsn // the control record's position
 	e.buf = appendTermOp(e.buf[:0], term)
-	if err := e.logLocked(context.Background(), e.buf); err != nil {
-		return err
-	}
-	// A term claim must survive a crash whatever the fsync policy: a
-	// promoted primary that forgot its term would resurrect as fenceable.
-	if err := e.syncLocked(context.Background()); err != nil {
-		return err
-	}
-	e.term, e.termStart = term, pos
-	e.noteOpLocked()
-	return nil
+	return e.commitLocked(context.Background(), e.buf, &walOp{kind: opTerm, term: term})
 }
 
 // Upload durably stores one document: the mutation is logged (and synced,
@@ -405,8 +405,6 @@ func (e *Engine) UploadCtx(ctx context.Context, si *core.SearchIndex, doc *core.
 	if si == nil || doc == nil {
 		return fmt.Errorf("core: nil upload")
 	}
-	// Validate up front: only mutations that cannot fail to apply may reach
-	// the log, otherwise replay would diverge from the live state.
 	if err := si.Validate(e.srv.Params()); err != nil {
 		return err
 	}
@@ -424,18 +422,8 @@ func (e *Engine) UploadCtx(ctx context.Context, si *core.SearchIndex, doc *core.
 
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.closing {
-		return ErrClosed
-	}
 	e.buf = appendUploadOp(e.buf[:0], si.DocID, levels, doc.Ciphertext, doc.EncKey)
-	if err := e.logLocked(ctx, e.buf); err != nil {
-		return err
-	}
-	if err := e.srv.Upload(si, doc); err != nil {
-		return err // unreachable given the validation above
-	}
-	e.noteOpLocked()
-	return nil
+	return e.commitLocked(ctx, e.buf, &walOp{kind: opUpload, docID: si.DocID, si: si, doc: doc})
 }
 
 // Delete durably removes one document; deleting an unknown ID returns
@@ -455,69 +443,113 @@ func (e *Engine) DeleteCtx(ctx context.Context, docID string) error {
 		return err
 	}
 	e.buf = appendDeleteOp(e.buf[:0], docID)
-	if err := e.logLocked(ctx, e.buf); err != nil {
+	return e.commitLocked(ctx, e.buf, &walOp{kind: opDelete, docID: docID})
+}
+
+// errUnknownState refuses every mutation once the log may disagree with
+// memory: an fsync failed, or a failed append could not be rolled back.
+var errUnknownState = errors.New("durable: log is in an unknown state after an unrecoverable append or fsync failure")
+
+// commitLocked is the one path by which a record enters the log: it appends
+// rec at position e.lsn, syncs it per policy (term records always), applies
+// op — rec's decoded form — to memory, publishes the new position to WAL
+// tailers and counts the record toward the checkpoint trigger. Caller holds
+// e.mu and has validated op, so that applying it cannot fail: only such
+// mutations may reach the log, otherwise replay would diverge from the live
+// state. On any failure the record is in none of memory, Position and
+// ReadWAL. ctx only feeds tracing: on a sampled request the append (and any
+// fsync, separately) becomes a span.
+func (e *Engine) commitLocked(ctx context.Context, rec []byte, op *walOp) error {
+	if e.closing {
+		return ErrClosed
+	}
+	// A term claim must survive a crash whatever the fsync policy: a promoted
+	// primary that forgot its term would resurrect as fenceable, and a
+	// follower that forgot it would accept a zombie's stream.
+	if err := e.logLocked(ctx, rec, op.kind == opTerm); err != nil {
 		return err
 	}
-	if err := e.srv.Delete(docID); err != nil {
-		return err // unreachable: existence was checked under e.mu
+	if err := e.applyOp(op, e.lsn); err != nil {
+		// Unreachable while callers validate. The record may already be on
+		// stable storage, where replay would fail on it, so refuse the rest.
+		e.broken = true
+		return e.rollbackLocked(err)
 	}
-	e.noteOpLocked()
+	e.segSize += int64(len(e.frame))
+	e.lsn++
+	e.stats.LSN = e.lsn
+	e.stats.WALBytes += int64(len(e.frame))
+	// Wake WAL tailers (replication streams) blocked in WaitWAL.
+	close(e.notify)
+	e.notify = make(chan struct{})
+	e.opsSinceCkpt++
+	if e.opts.CheckpointEvery > 0 && e.opsSinceCkpt >= e.opts.CheckpointEvery {
+		select {
+		case e.ckptCh <- struct{}{}:
+		default: // one is already pending
+		}
+	}
 	return nil
 }
 
-// logLocked frames rec, appends it to the live segment and syncs per
-// policy. Caller holds e.mu. ctx only feeds tracing: on a sampled request
-// the append (and any policy fsync, separately) becomes a span.
-func (e *Engine) logLocked(ctx context.Context, rec []byte) error {
+// logLocked frames rec and appends it after the live segment's last
+// committed record, then syncs if the policy says so or sync is set. On
+// failure the segment is rolled back to that record. Caller holds e.mu.
+func (e *Engine) logLocked(ctx context.Context, rec []byte, sync bool) error {
 	if e.broken {
-		return fmt.Errorf("durable: log is in an unknown state after an unrecoverable append failure")
+		return errUnknownState
 	}
 	if len(rec) > MaxOpSize {
 		return fmt.Errorf("durable: %d-byte mutation exceeds the %d-byte limit (documents must stay shippable to replicas in one frame)", len(rec), MaxOpSize)
 	}
 	sw := trace.StartTimer(ctx, "wal.append", e.metrics.Load().appendLat)
 	var err error
-	e.frame, err = AppendRecord(e.frame[:0], rec)
-	if err != nil {
+	if e.frame, err = AppendRecord(e.frame[:0], rec); err != nil {
 		return err
 	}
-	if n, err := e.f.Write(e.frame); err != nil {
-		// A short write (disk full, I/O error) leaves a partial frame in the
-		// segment. Recovery would read it as a torn tail and silently drop
-		// any acknowledged records appended after it — so roll the segment
-		// back to the last record boundary; if even that fails, refuse all
-		// further appends rather than risk losing acknowledged data.
-		if n > 0 {
-			if terr := e.f.Truncate(e.segSize); terr != nil {
-				e.broken = true
-				return fmt.Errorf("durable: appending WAL record: %v; rolling back partial frame: %w", err, terr)
-			}
-		}
-		return fmt.Errorf("durable: appending WAL record: %w", err)
+	n, err := e.f.Write(e.frame)
+	if n > 0 {
+		e.dirty = true
 	}
-	e.segSize += int64(len(e.frame))
-	e.lsn++
-	e.stats.LSN = e.lsn
-	e.stats.WALBytes += int64(len(e.frame))
-	e.dirty = true
-	// Wake WAL tailers (replication streams) blocked in WaitWAL.
-	close(e.notify)
-	e.notify = make(chan struct{})
-	if e.opts.Fsync == FsyncAlways {
+	if err != nil {
+		err = fmt.Errorf("durable: appending WAL record: %w", err)
+	} else if sync || e.opts.Fsync == FsyncAlways {
 		err = e.syncLocked(ctx)
 	}
+	if err != nil {
+		if n > 0 {
+			return e.rollbackLocked(err)
+		}
+		return err
+	}
 	sw.Stop()
-	return err
+	return nil
+}
+
+// rollbackLocked truncates the live segment back to its last committed
+// record after the record past it failed, and returns cause. A partial frame
+// left behind would read as a torn tail on recovery and silently drop any
+// acknowledged records appended after it; if even the truncate fails, all
+// further appends are refused rather than risk losing acknowledged data.
+func (e *Engine) rollbackLocked(cause error) error {
+	if err := e.f.Truncate(e.segSize); err != nil {
+		e.broken = true
+		return fmt.Errorf("%w; rolling back the segment: %v", cause, err)
+	}
+	return cause
 }
 
 // syncLocked fsyncs the live segment; ctx only feeds tracing, like
-// logLocked. Background callers pass context.Background().
+// logLocked. Background callers pass context.Background(). A failed fsync
+// leaves what the segment holds on disk unknown — the kernel may have dropped
+// the dirty pages — so it refuses every later mutation.
 func (e *Engine) syncLocked(ctx context.Context) error {
 	if !e.dirty {
 		return nil
 	}
 	sw := trace.StartTimer(ctx, "wal.fsync", e.metrics.Load().fsyncLat)
 	if err := e.f.Sync(); err != nil {
+		e.broken = true
 		return fmt.Errorf("durable: syncing WAL: %w", err)
 	}
 	sw.Stop()
@@ -530,17 +562,6 @@ func (e *Engine) Sync() error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.syncLocked(context.Background())
-}
-
-// noteOpLocked counts a mutation toward the automatic checkpoint trigger.
-func (e *Engine) noteOpLocked() {
-	e.opsSinceCkpt++
-	if e.opts.CheckpointEvery > 0 && e.opsSinceCkpt >= e.opts.CheckpointEvery {
-		select {
-		case e.ckptCh <- struct{}{}:
-		default: // one is already pending
-		}
-	}
 }
 
 // memSnapshot is the state captured during a checkpoint cut, serialized
@@ -592,6 +613,10 @@ func (e *Engine) checkpoint(force bool) error {
 	if lsn == e.stats.CheckpointLSN && !force {
 		e.mu.Unlock()
 		return nil
+	}
+	if e.broken {
+		e.mu.Unlock()
+		return errUnknownState
 	}
 	snap := &memSnapshot{params: e.srv.Params()}
 	// Export's contract permits retaining (not mutating) its arguments, so
@@ -647,24 +672,31 @@ func (e *Engine) rotateLocked(lsn uint64) error {
 	if err := e.syncLocked(context.Background()); err != nil {
 		return err
 	}
-	if err := e.f.Close(); err != nil {
+	if err := e.startSegmentLocked(lsn); err != nil {
 		return err
 	}
+	e.opsSinceCkpt = 0
+	return nil
+}
+
+// startSegmentLocked starts wal-<lsn>.log as an empty file — truncating any
+// file of that name, which can only hold records of a replaced history — and
+// makes it the live segment, closing the previous one. Caller holds e.mu.
+func (e *Engine) startSegmentLocked(lsn uint64) error {
 	// O_APPEND keeps the write offset glued to EOF, so a rollback truncate
-	// in logLocked cannot leave a hole.
-	f, err := os.OpenFile(filepath.Join(e.dir, segName(lsn)), os.O_CREATE|os.O_EXCL|os.O_WRONLY|os.O_APPEND, 0o644)
+	// cannot leave a hole.
+	f, err := os.OpenFile(filepath.Join(e.dir, segName(lsn)), os.O_CREATE|os.O_TRUNC|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
-		return fmt.Errorf("durable: rotating WAL: %w", err)
+		return fmt.Errorf("durable: starting WAL segment: %w", err)
 	}
 	if err := syncDir(e.dir); err != nil {
 		f.Close()
 		return err
 	}
-	e.f = f
-	e.segStart = lsn
-	e.segSize = 0
-	e.opsSinceCkpt = 0
-	e.dirty = false
+	if e.f != nil {
+		e.f.Close() // synced or abandoned by the caller
+	}
+	e.f, e.segStart, e.segSize, e.dirty = f, lsn, 0, false
 	return nil
 }
 
@@ -795,7 +827,11 @@ func (e *Engine) replaySegment(path string, last bool) (stop bool, err error) {
 			}
 			return true, nil
 		}
-		if aerr := e.applyPayload(payload, e.lsn); aerr != nil {
+		op, aerr := decodeOp(payload)
+		if aerr == nil {
+			aerr = e.applyOp(op, e.lsn)
+		}
+		if aerr != nil {
 			return false, fmt.Errorf("durable: %s: applying record %d: %w", filepath.Base(path), e.lsn, aerr)
 		}
 		off += n
@@ -806,62 +842,28 @@ func (e *Engine) replaySegment(path string, last bool) (stop bool, err error) {
 	return false, nil
 }
 
-// applyPayload re-applies one logged mutation. pos is the record's log
-// position (needed by term records, whose position becomes the term start).
-func (e *Engine) applyPayload(payload []byte, pos uint64) error {
-	op, err := decodeOp(payload)
-	if err != nil {
-		return err
-	}
-	return e.applyOp(op, pos)
-}
-
-// applyOp applies one decoded mutation to the in-memory server.
+// applyOp applies one mutation to the in-memory server: a replayed record,
+// or one the commit routine has just logged. pos is the record's log
+// position, which a term record makes the term start.
 func (e *Engine) applyOp(op *walOp, pos uint64) error {
 	switch op.kind {
 	case opDelete:
-		if err := e.srv.Delete(string(op.docID)); err != nil && !errors.Is(err, core.ErrNotFound) {
+		if err := e.srv.Delete(op.docID); err != nil && !errors.Is(err, core.ErrNotFound) {
 			return err
 		}
 		return nil
 	case opUpload:
-		si, doc, err := decodeUploadOp(op)
-		if err != nil {
-			return err
-		}
-		return e.srv.Upload(si, doc)
+		return e.srv.Upload(op.si, op.doc)
 	case opTerm:
-		// Replaying (or receiving, via ApplyReplicated) a term bump adopts it.
-		// An equal-or-lower carried term is a no-op, not an error: checkpoints
-		// persist the term, so a replayed segment can legitimately carry bumps
-		// the checkpoint already covers.
+		// Adopting an equal-or-lower carried term is a no-op, not an error:
+		// checkpoints persist the term, so a replayed segment can
+		// legitimately carry bumps the checkpoint already covers.
 		if op.term > e.term {
 			e.term, e.termStart = op.term, pos
 		}
 		return nil
 	}
 	return fmt.Errorf("%w: unknown operation kind %d", ErrCorruptRecord, op.kind)
-}
-
-// decodeUploadOp materializes an upload mutation's index and document. The
-// ciphertext and key are copied out of the decode buffer so retained
-// payloads do not pin whole segments (or wire batches) in memory.
-func decodeUploadOp(op *walOp) (*core.SearchIndex, *core.EncryptedDocument, error) {
-	levels := make([]*bitindex.Vector, len(op.levels))
-	for i, raw := range op.levels {
-		var v bitindex.Vector
-		if err := v.UnmarshalBinary(raw); err != nil {
-			return nil, nil, fmt.Errorf("level %d: %w", i+1, err)
-		}
-		levels[i] = &v
-	}
-	si := &core.SearchIndex{DocID: string(op.docID), Levels: levels}
-	doc := &core.EncryptedDocument{
-		ID:         si.DocID,
-		Ciphertext: append([]byte(nil), op.ciphertext...),
-		EncKey:     append([]byte(nil), op.encKey...),
-	}
-	return si, doc, nil
 }
 
 // openSegment resumes appending: to the directory's last segment if replay
@@ -885,14 +887,7 @@ func (e *Engine) openSegment(segs []uint64) error {
 			}
 		}
 	}
-	f, err := os.OpenFile(filepath.Join(e.dir, segName(e.lsn)), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return fmt.Errorf("durable: opening WAL segment: %w", err)
-	}
-	e.f = f
-	e.segStart = e.lsn
-	e.segSize = 0
-	return syncDir(e.dir)
+	return e.startSegmentLocked(e.lsn)
 }
 
 // cleanup removes files a durable checkpoint has obsoleted: older

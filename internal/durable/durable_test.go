@@ -338,6 +338,63 @@ func TestCloseCheckpointsAndReopensReplayFree(t *testing.T) {
 	}
 }
 
+// A failed fsync leaves the record in none of memory, Position and what
+// ReadWAL serves, and every later mutation is refused. Syncing a pipe fails
+// (EINVAL), so a pipe swapped in for the live segment fails each FsyncAlways
+// append at its fsync, after the write went through.
+func TestFailedFsyncRefusesLaterMutations(t *testing.T) {
+	p := testParams()
+	rng := rand.New(rand.NewSource(33))
+	e, err := Open(t.TempDir(), p, Options{Fsync: FsyncAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := uploadOp(rng, p, "doc-a", "a")
+	applyOps(t, e, []op{first})
+
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	e.mu.Lock()
+	seg := e.f
+	e.f = w
+	e.mu.Unlock()
+	defer seg.Close()
+	defer e.Crash() // closes w
+
+	second := uploadOp(rng, p, "doc-b", "b")
+	if err := e.Upload(second.si, second.doc); err == nil {
+		t.Fatal("Upload succeeded although its fsync failed")
+	}
+	if got := e.Position(); got != 1 {
+		t.Errorf("Position = %d after the failed upload, want 1", got)
+	}
+	if got := e.Server().NumDocuments(); got != 1 {
+		t.Errorf("%d documents after the failed upload, want 1", got)
+	}
+	if recs, next, err := e.ReadWAL(0, 1<<20); err != nil || len(recs) != 1 || next != 1 {
+		t.Errorf("ReadWAL(0) = %d records, next %d, err %v; want the one committed record", len(recs), next, err)
+	}
+
+	refused := func(what string, err error) {
+		t.Helper()
+		if err == nil || !strings.Contains(err.Error(), "unknown state") {
+			t.Errorf("%s after a failed fsync = %v, want the unknown-state refusal", what, err)
+		}
+	}
+	refused("SetTerm", e.SetTerm(5))
+	refused("Upload", e.Upload(second.si, second.doc))
+	refused("Delete", e.Delete(first.id))
+	if got := e.Term(); got != 0 {
+		t.Errorf("Term = %d after the refused SetTerm, want 0", got)
+	}
+	if got := e.Position(); got != 1 {
+		t.Errorf("Position = %d after the refused mutations, want 1", got)
+	}
+}
+
 func TestAutomaticCheckpoints(t *testing.T) {
 	p := testParams()
 	rng := rand.New(rand.NewSource(41))

@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"math/rand"
 	"testing"
+
+	"mkse/internal/bitindex"
 )
 
 // FuzzWALRecord fuzzes the record codec with arbitrary bytes: corrupt CRCs,
@@ -14,7 +17,11 @@ import (
 // decodes must re-encode to the identical frame, and every payload must
 // round-trip.
 func FuzzWALRecord(f *testing.F) {
-	valid, err := AppendRecord(nil, appendUploadOp(nil, "doc-1", [][]byte{{1, 2, 3}}, []byte("ct"), []byte("ek")))
+	level, err := bitindex.NewOnes(64).MarshalBinary()
+	if err != nil {
+		f.Fatal(err)
+	}
+	valid, err := AppendRecord(nil, appendUploadOp(nil, "doc-1", [][]byte{level}, []byte("ct"), []byte("ek")))
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -31,6 +38,11 @@ func FuzzWALRecord(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(del)
+	term, err := AppendRecord(nil, appendTermOp(nil, 7)) // written on every promotion
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(term)
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0}) // empty payload, zero CRC
 
@@ -56,7 +68,7 @@ func FuzzWALRecord(f *testing.F) {
 			// frame carried.
 			if op, err := decodeOp(payload); err == nil {
 				switch op.kind {
-				case opUpload, opDelete:
+				case opUpload, opDelete, opTerm:
 				default:
 					t.Fatalf("decodeOp accepted unknown kind %d", op.kind)
 				}
@@ -74,6 +86,65 @@ func FuzzWALRecord(f *testing.F) {
 		got, n2, err := DecodeRecord(framed)
 		if err != nil || n2 != len(framed) || !bytes.Equal(got, data) {
 			t.Fatalf("round trip failed: n=%d err=%v", n2, err)
+		}
+	})
+}
+
+// FuzzApplyReplicated feeds arbitrary bytes to a follower as replicated
+// records, which arrive from the network. Every input must either be refused
+// before it reaches the log — an error, the position unchanged and the engine
+// still taking records — or be logged and applied, advancing the position by
+// exactly one: only mutations that cannot fail to apply may reach the log.
+func FuzzApplyReplicated(f *testing.F) {
+	p := testParams()
+	rng := rand.New(rand.NewSource(81))
+	for _, o := range genOps(rng, p, 6) {
+		if o.del {
+			f.Add(appendDeleteOp(nil, o.id))
+			continue
+		}
+		levels := make([][]byte, len(o.si.Levels))
+		for i, l := range o.si.Levels {
+			raw, err := l.MarshalBinary()
+			if err != nil {
+				f.Fatal(err)
+			}
+			levels[i] = raw
+		}
+		f.Add(appendUploadOp(nil, o.id, levels, o.doc.Ciphertext, o.doc.EncKey))
+		f.Add(appendUploadOp(nil, o.id, levels[:1], o.doc.Ciphertext, o.doc.EncKey)) // too few levels
+	}
+	f.Add(appendDeleteOp(nil, "never-stored"))
+	f.Add(appendTermOp(nil, 3))
+	f.Add([]byte{})
+	f.Add([]byte{9, 0, 0, 0, 0})
+
+	// One engine per fuzz process: the log only grows, and the invariant
+	// must hold whatever state earlier inputs left behind.
+	eng, err := Open(f.TempDir(), p, Options{Fsync: FsyncNever})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(eng.Crash)
+
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		before := eng.Position()
+		err := eng.ApplyReplicated(payload)
+		after := eng.Position()
+		if err == nil {
+			if after != before+1 {
+				t.Fatalf("applied record moved the position %d -> %d", before, after)
+			}
+			return
+		}
+		if after != before {
+			t.Fatalf("refused record (%v) moved the position %d -> %d", err, before, after)
+		}
+		eng.mu.Lock()
+		broken := eng.broken
+		eng.mu.Unlock()
+		if broken {
+			t.Fatalf("record reached the log but failed to apply: %v", err)
 		}
 	})
 }

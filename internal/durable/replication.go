@@ -203,49 +203,19 @@ func (e *Engine) ApplyReplicated(payload []byte) error {
 	if err != nil {
 		return fmt.Errorf("durable: replicated record: %w", err)
 	}
-	var si *core.SearchIndex
-	var doc *core.EncryptedDocument
+	// Params are immutable after Open, so validating outside e.mu is safe.
 	if op.kind == opUpload {
-		if si, doc, err = decodeUploadOp(op); err != nil {
-			return fmt.Errorf("durable: replicated upload: %w", err)
-		}
-		// Params are immutable after Open, so validating outside e.mu is safe.
-		if err := si.Validate(e.srv.Params()); err != nil {
+		if err := op.si.Validate(e.srv.Params()); err != nil {
 			return fmt.Errorf("durable: replicated upload rejected (parameter mismatch with primary?): %w", err)
 		}
 	}
 
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.closing {
-		return ErrClosed
-	}
 	pos := e.lsn // this record's position
-	if err := e.logLocked(context.Background(), payload); err != nil {
+	if err := e.commitLocked(context.Background(), payload, op); err != nil {
 		return err
 	}
-	switch op.kind {
-	case opDelete:
-		if err := e.srv.Delete(string(op.docID)); err != nil && !errors.Is(err, core.ErrNotFound) {
-			return err
-		}
-	case opUpload:
-		if err := e.srv.Upload(si, doc); err != nil {
-			return err // unreachable given the validation above
-		}
-	case opTerm:
-		// A replicated term bump is how a follower durably learns its
-		// primary's new term. Like SetTerm, it must survive a crash whatever
-		// the fsync policy — a follower that forgot the term would accept a
-		// zombie's stream after restarting.
-		if op.term > e.term {
-			if err := e.syncLocked(context.Background()); err != nil {
-				return err
-			}
-			e.term, e.termStart = op.term, pos
-		}
-	}
-	e.noteOpLocked()
 	if root != nil {
 		root.SetAttr("kind", opKindName(op.kind))
 		root.SetAttr("position", strconv.FormatUint(pos, 10))
@@ -283,13 +253,15 @@ func (e *Engine) BootstrapCheckpoint() ([]byte, uint64, error) {
 // ResetToCheckpoint replaces the engine's entire state — in memory and on
 // disk — with a checkpoint shipped from a primary, leaving the engine at
 // position lsn with an empty log tail. It is the follower's bootstrap path
-// when the primary has pruned the records between them. The snapshot is
-// fully parsed and validated before any local state is touched, and its
-// parameters must equal the engine's. The in-memory server is rebuilt in
-// place (readers holding the *core.Server keep working, though they observe
-// the intermediate states of the swap), so a follower can bootstrap while
-// serving.
-func (e *Engine) ResetToCheckpoint(data []byte, lsn uint64) error {
+// when the primary has pruned the records between them, and a deposed
+// primary's way back into the new history. The snapshot is fully parsed and
+// validated before any local state is touched, and its parameters must
+// equal the engine's. The in-memory server is rebuilt in place (readers
+// holding the *core.Server keep working, though they observe the
+// intermediate states of the swap), so a follower can bootstrap while
+// serving. A failure after the snapshot is accepted leaves the engine
+// refusing mutations until a later reset succeeds.
+func (e *Engine) ResetToCheckpoint(data []byte, lsn uint64) (err error) {
 	// Parse into a scratch server first: a malformed or mismatched snapshot
 	// must not destroy the local state it was meant to replace.
 	params := e.srv.Params()
@@ -313,12 +285,38 @@ func (e *Engine) ResetToCheckpoint(data []byte, lsn uint64) error {
 	if e.closing {
 		return ErrClosed
 	}
+	defer func() { e.broken = err != nil }()
 
-	// Install the checkpoint file first: if we crash anywhere past this
-	// point, Open finds it, skips every older segment (all their records are
-	// below lsn) and recovers at exactly lsn.
-	path := filepath.Join(e.dir, ckptName(lsn))
-	if err := store.WriteFileSync(path, 0o666, func(w io.Writer) error {
+	// The files run in this order, so that a crash at any point recovers
+	// either a prefix of the replaced history or the shipped checkpoint:
+	//  1. remove the replaced history at or past lsn — newer checkpoints and
+	//     segments from lsn on — which Open would otherwise prefer to, or
+	//     replay on top of, the shipped checkpoint;
+	//  2. install the shipped checkpoint: from here Open skips every older
+	//     segment (all their records are below lsn) and recovers at lsn;
+	//  3. start an empty segment at lsn and drop the older files.
+	ckpts, segs, err := scanDir(e.dir)
+	if err != nil {
+		return err
+	}
+	for _, c := range ckpts {
+		if c > lsn {
+			if err := os.Remove(filepath.Join(e.dir, ckptName(c))); err != nil {
+				return fmt.Errorf("durable: removing replaced checkpoint: %w", err)
+			}
+		}
+	}
+	for _, s := range segs {
+		if s >= lsn {
+			if err := os.Remove(filepath.Join(e.dir, segName(s))); err != nil {
+				return fmt.Errorf("durable: removing replaced WAL segment: %w", err)
+			}
+		}
+	}
+	if err := syncDir(e.dir); err != nil {
+		return err
+	}
+	if err := store.WriteFileSync(filepath.Join(e.dir, ckptName(lsn)), 0o666, func(w io.Writer) error {
 		_, err := w.Write(data)
 		return err
 	}); err != nil {
@@ -341,42 +339,24 @@ func (e *Engine) ResetToCheckpoint(data []byte, lsn uint64) error {
 		return fmt.Errorf("durable: installing bootstrap state: %w", err)
 	}
 
-	// Start a fresh segment at lsn and drop the superseded files.
-	if err := e.f.Close(); err != nil {
+	if err := e.startSegmentLocked(lsn); err != nil {
 		return err
 	}
-	f, err := os.OpenFile(filepath.Join(e.dir, segName(lsn)), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return fmt.Errorf("durable: opening post-bootstrap WAL segment: %w", err)
-	}
-	if err := syncDir(e.dir); err != nil {
-		f.Close()
-		return err
-	}
-	e.f = f
-	e.segStart = lsn
-	e.segSize = 0
 	e.lsn = lsn
 	// The checkpoint replaces the whole local history, term included — the
 	// shipped snapshot is now this engine's only provenance.
 	e.term, e.termStart = meta.Term, meta.TermStart
 	e.opsSinceCkpt = 0
-	e.dirty = false
-	e.broken = false
 	e.stats.LSN = lsn
 	e.stats.CheckpointLSN = lsn
-
-	ckpts, segs, err := scanDir(e.dir)
-	if err == nil {
-		for _, c := range ckpts {
-			if c != lsn {
-				os.Remove(filepath.Join(e.dir, ckptName(c)))
-			}
+	for _, c := range ckpts {
+		if c < lsn {
+			os.Remove(filepath.Join(e.dir, ckptName(c)))
 		}
-		for _, s := range segs {
-			if s != lsn {
-				os.Remove(filepath.Join(e.dir, segName(s)))
-			}
+	}
+	for _, s := range segs {
+		if s < lsn {
+			os.Remove(filepath.Join(e.dir, segName(s)))
 		}
 	}
 	logf(e.opts.Logger, "durable: bootstrapped from primary checkpoint at position %d (%d documents)", lsn, e.srv.NumDocuments())

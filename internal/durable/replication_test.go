@@ -174,42 +174,68 @@ func TestResetToCheckpointBootstrapsAndRecovers(t *testing.T) {
 	if lsn != 40 {
 		t.Fatalf("checkpoint at %d, want 40", lsn)
 	}
-
-	// A follower with unrelated stale state bootstraps over it.
-	fdir := t.TempDir()
-	follower, err := Open(fdir, p, Options{Fsync: FsyncNever})
-	if err != nil {
-		t.Fatal(err)
-	}
-	staleRng := rand.New(rand.NewSource(99))
-	applyOps(t, follower, genOps(staleRng, p, 5))
-	// Stale history is shorter than the snapshot position, as in a real
-	// bootstrap (the primary is always ahead).
-	if err := follower.ResetToCheckpoint(data, lsn); err != nil {
-		t.Fatalf("ResetToCheckpoint: %v", err)
-	}
-	if got := follower.Position(); got != lsn {
-		t.Fatalf("position %d after bootstrap, want %d", got, lsn)
-	}
-	replicate(t, primary, follower)
-
 	want := searchFingerprint(t, primary.Server(), qs)
-	if got := searchFingerprint(t, follower.Server(), qs); got != want {
-		t.Error("bootstrapped follower differs from primary")
-	}
 
-	// The bootstrapped directory is self-sufficient: reopen and re-verify.
-	if err := follower.Sync(); err != nil {
-		t.Fatal(err)
+	// The reset must replace whatever history the follower holds, whether it
+	// ends before the shipped position or runs past it.
+	histories := []struct {
+		name    string
+		history func(t *testing.T, follower *Engine)
+	}{
+		{"unrelated shorter history", func(t *testing.T, follower *Engine) {
+			applyOps(t, follower, genOps(rand.New(rand.NewSource(99)), p, 5))
+		}},
+		// A deposed primary shares the first 40 records, checkpointed, then
+		// diverges: its live segment starts at the shipped position and
+		// holds records the new history does not have.
+		{"deposed primary", func(t *testing.T, follower *Engine) {
+			applyOps(t, follower, ops[:40])
+			if err := follower.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			applyOps(t, follower, genOps(rand.New(rand.NewSource(98)), p, 5))
+		}},
 	}
-	follower.Crash()
-	follower, err = Open(fdir, p, Options{})
-	if err != nil {
-		t.Fatalf("reopening bootstrapped follower: %v", err)
-	}
-	defer follower.Crash()
-	if got := searchFingerprint(t, follower.Server(), qs); got != want {
-		t.Error("reopened bootstrapped follower differs from primary")
+	for _, h := range histories {
+		t.Run(h.name, func(t *testing.T) {
+			fdir := t.TempDir()
+			follower, err := Open(fdir, p, Options{Fsync: FsyncNever})
+			if err != nil {
+				t.Fatal(err)
+			}
+			h.history(t, follower)
+			if err := follower.ResetToCheckpoint(data, lsn); err != nil {
+				t.Fatalf("ResetToCheckpoint: %v", err)
+			}
+			if got := follower.Position(); got != lsn {
+				t.Fatalf("position %d after bootstrap, want %d", got, lsn)
+			}
+			replicate(t, primary, follower)
+			if got := searchFingerprint(t, follower.Server(), qs); got != want {
+				t.Error("bootstrapped follower differs from primary")
+			}
+
+			// The bootstrapped directory is self-sufficient: reopen and
+			// re-verify.
+			if err := follower.Sync(); err != nil {
+				t.Fatal(err)
+			}
+			follower.Crash()
+			follower, err = Open(fdir, p, Options{})
+			if err != nil {
+				t.Fatalf("reopening bootstrapped follower: %v", err)
+			}
+			defer follower.Crash()
+			if got, want := follower.Position(), primary.Position(); got != want {
+				t.Errorf("reopened follower at position %d, primary at %d", got, want)
+			}
+			if got, want := follower.Server().NumDocuments(), primary.Server().NumDocuments(); got != want {
+				t.Errorf("reopened follower holds %d documents, primary %d", got, want)
+			}
+			if got := searchFingerprint(t, follower.Server(), qs); got != want {
+				t.Error("reopened bootstrapped follower differs from primary")
+			}
+		})
 	}
 }
 

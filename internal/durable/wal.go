@@ -5,6 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+
+	"mkse/internal/bitindex"
+	"mkse/internal/core"
 )
 
 // The write-ahead log is a sequence of self-delimiting records:
@@ -14,7 +17,7 @@ import (
 // The CRC makes a torn write (a crash mid-append) detectable: recovery
 // replays records until the first one whose frame is short or whose checksum
 // fails, and treats that point as the end of the log. Each payload is one
-// mutation, encoded by appendOp/decodeOp.
+// mutation, encoded by the append*Op functions and decoded by decodeOp.
 
 // recordHeaderSize is the fixed frame prefix: length + CRC.
 const recordHeaderSize = 8
@@ -89,14 +92,14 @@ const (
 	opTerm byte = 3
 )
 
-// walOp is one decoded mutation. Byte fields alias the decode buffer.
+// walOp is one mutation in the form applyOp consumes: decoded from a log
+// record, or built by the engine beside the record it logs.
 type walOp struct {
-	kind       byte
-	docID      []byte
-	levels     [][]byte // marshaled bitindex vectors, one per ranking level
-	ciphertext []byte
-	encKey     []byte
-	term       uint64 // opTerm only
+	kind  byte
+	docID string                  // opUpload, opDelete
+	si    *core.SearchIndex       // opUpload
+	doc   *core.EncryptedDocument // opUpload
+	term  uint64                  // opTerm
 }
 
 // appendUploadOp encodes an upload mutation onto dst.
@@ -128,7 +131,9 @@ func appendField(dst, b []byte) []byte {
 	return append(dst, b...)
 }
 
-// decodeOp parses a record payload into a walOp whose byte fields alias b.
+// decodeOp parses a record payload into a walOp. An upload's index levels
+// are unmarshaled and its ciphertext and key copied out of b, so a retained
+// op pins neither a whole segment nor a wire batch in memory.
 func decodeOp(b []byte) (*walOp, error) {
 	if len(b) == 0 {
 		return nil, fmt.Errorf("%w: empty operation", ErrCorruptRecord)
@@ -142,10 +147,11 @@ func decodeOp(b []byte) (*walOp, error) {
 		op.term = binary.LittleEndian.Uint64(rest)
 		return op, nil
 	}
-	var err error
-	if op.docID, rest, err = cutField(rest); err != nil {
+	id, rest, err := cutField(rest)
+	if err != nil {
 		return nil, err
 	}
+	op.docID = string(id)
 	switch op.kind {
 	case opDelete:
 	case opUpload:
@@ -160,17 +166,29 @@ func decodeOp(b []byte) (*walOp, error) {
 		if uint64(n) > uint64(len(rest))/4 {
 			return nil, fmt.Errorf("%w: implausible level count %d", ErrCorruptRecord, n)
 		}
-		op.levels = make([][]byte, n)
-		for i := range op.levels {
-			if op.levels[i], rest, err = cutField(rest); err != nil {
+		op.si = &core.SearchIndex{DocID: op.docID, Levels: make([]*bitindex.Vector, n)}
+		for i := range op.si.Levels {
+			var raw []byte
+			if raw, rest, err = cutField(rest); err != nil {
 				return nil, err
 			}
+			v := new(bitindex.Vector)
+			if err := v.UnmarshalBinary(raw); err != nil {
+				return nil, fmt.Errorf("%w: level %d: %v", ErrCorruptRecord, i+1, err)
+			}
+			op.si.Levels[i] = v
 		}
-		if op.ciphertext, rest, err = cutField(rest); err != nil {
+		var ct, key []byte
+		if ct, rest, err = cutField(rest); err != nil {
 			return nil, err
 		}
-		if op.encKey, rest, err = cutField(rest); err != nil {
+		if key, rest, err = cutField(rest); err != nil {
 			return nil, err
+		}
+		op.doc = &core.EncryptedDocument{
+			ID:         op.docID,
+			Ciphertext: append([]byte(nil), ct...),
+			EncKey:     append([]byte(nil), key...),
 		}
 	default:
 		return nil, fmt.Errorf("%w: unknown operation kind %d", ErrCorruptRecord, op.kind)

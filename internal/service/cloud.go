@@ -33,15 +33,6 @@ func NewResultCache(maxBytes int64) *ResultCache {
 	return qcache.New[[]protocol.MatchWire](maxBytes, 0)
 }
 
-// Backend applies the mutating half of the cloud service. *core.Server
-// satisfies it (in-memory only); the durable storage engine
-// (internal/durable) satisfies it too, logging every mutation to its
-// write-ahead log before applying it.
-type Backend interface {
-	Upload(*core.SearchIndex, *core.EncryptedDocument) error
-	Delete(docID string) error
-}
-
 // CloudService exposes a core.Server over TCP: Upload, Delete, Search,
 // Fetch and Stats endpoints. It requires no authentication — the server is
 // semi-honest and queries are anonymous ("the user does not provide his
@@ -51,7 +42,7 @@ type CloudService struct {
 	// Store, when set, receives uploads and deletions instead of Server —
 	// the hook that puts the durable write-ahead log under the daemon.
 	// Reads always go to Server.
-	Store Backend
+	Store *durable.Engine
 	// WAL, when set, lets this daemon serve its write-ahead log to
 	// followers over the replication verbs (any durably backed daemon can;
 	// set it to the same durable engine as Store).
@@ -165,14 +156,6 @@ func (s *CloudService) Drain(timeout time.Duration) {
 	if cut := s.tracker.drain(timeout); cut > 0 {
 		logf(s.Logger, "cloud: drain window elapsed, cut %d connection(s)", cut)
 	}
-}
-
-// backend returns the mutation sink: Store when configured, else Server.
-func (s *CloudService) backend() Backend {
-	if s.Store != nil {
-		return s.Store
-	}
-	return s.Server
 }
 
 // Serve accepts connections on l until it is closed. Every request flows
@@ -336,12 +319,11 @@ func (s *CloudService) handleUpload(ctx context.Context, req *protocol.UploadReq
 	}
 	si := &core.SearchIndex{DocID: req.DocID, Levels: levels}
 	doc := &core.EncryptedDocument{ID: req.DocID, Ciphertext: req.Ciphertext, EncKey: req.EncKey}
-	b := s.backend()
 	var err error
-	if cb, ok := b.(ctxBackend); ok {
-		err = cb.UploadCtx(ctx, si, doc)
+	if s.Store != nil {
+		err = s.Store.UploadCtx(ctx, si, doc)
 	} else {
-		err = b.Upload(si, doc)
+		err = s.Server.Upload(si, doc)
 	}
 	if err != nil {
 		return errMsg(err)
@@ -359,12 +341,11 @@ func (s *CloudService) handleDelete(ctx context.Context, req *protocol.DeleteReq
 	if reject := s.checkOwnership(req.DocID); reject != nil {
 		return reject
 	}
-	b := s.backend()
 	var err error
-	if cb, ok := b.(ctxBackend); ok {
-		err = cb.DeleteCtx(ctx, req.DocID)
+	if s.Store != nil {
+		err = s.Store.DeleteCtx(ctx, req.DocID)
 	} else {
-		err = b.Delete(req.DocID)
+		err = s.Server.Delete(req.DocID)
 	}
 	if err != nil {
 		return errMsg(err)

@@ -1,27 +1,15 @@
 package service
 
 import (
-	"context"
 	"time"
 
-	"mkse/internal/core"
 	"mkse/internal/protocol"
 	"mkse/internal/trace"
 )
 
 // This file is the service layer's tracing glue: wire conversions between
-// trace.Span/SpanContext and their protocol twins, the context-aware
-// mutation backend, and EnableTracing — the one call that turns a cloud
-// daemon's tracing on.
-
-// ctxBackend is the optional context-aware half of Backend. The durable
-// engine implements it, hanging WAL append/fsync spans under a traced
-// request; a plain core.Server does not, and traced requests simply record
-// no WAL spans there.
-type ctxBackend interface {
-	UploadCtx(ctx context.Context, si *core.SearchIndex, doc *core.EncryptedDocument) error
-	DeleteCtx(ctx context.Context, docID string) error
-}
+// trace.Span/SpanContext and their protocol twins, and EnableTracing — the
+// one call that turns a cloud daemon's tracing on.
 
 // EnableTracing attaches t to the service: incoming requests are adopted
 // or head-sampled into traces (see Serve), and the core server's scan hook

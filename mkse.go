@@ -224,18 +224,14 @@ func (s *System) FetchTrapdoors(u *User, words []string) error {
 	return u.InstallTrapdoorKeys(binIDs, keys)
 }
 
-// Search obtains any missing trapdoors, builds a randomized query and runs
-// the ranked oblivious search, returning up to topK matches (topK <= 0
-// returns all).
+// Search runs the ranked search for one keyword set, returning up to topK
+// matches (topK <= 0 returns all): a SearchBatch of one query.
 func (s *System) Search(u *User, words []string, topK int) ([]Match, error) {
-	if err := s.FetchTrapdoors(u, words); err != nil {
-		return nil, err
-	}
-	q, err := u.BuildQuery(words)
+	res, err := s.SearchBatch(u, [][]string{words}, topK)
 	if err != nil {
 		return nil, err
 	}
-	return s.Cloud.SearchTop(q, topK)
+	return res[0], nil
 }
 
 // SearchBatch obtains any missing trapdoors for every keyword set, builds
