@@ -136,6 +136,10 @@ type Stats struct {
 	Checkpoints   int    // checkpoints taken by this engine instance
 	Term          uint64 // promotion (fencing) term; see SetTerm
 
+	// CheckpointsFailed counts checkpoints by this engine instance that
+	// returned an error, leaving the log uncut.
+	CheckpointsFailed int
+
 	// LastCheckpointPause is how long the last checkpoint blocked the
 	// mutation stream (state materialization + segment rotation); searches
 	// are never blocked. LastCheckpointWrite is the full serialization
@@ -236,6 +240,8 @@ func (e *Engine) EnableMetrics(reg *telemetry.Registry) {
 		func() float64 { return time.Since(e.checkpointAnchor()).Seconds() })
 	reg.CounterFunc("mkse_checkpoints_total", "Checkpoints taken by this engine instance.",
 		func() float64 { return float64(e.Stats().Checkpoints) })
+	reg.CounterFunc("mkse_checkpoints_failed_total", "Checkpoints by this engine instance that failed, leaving the log uncut.",
+		func() float64 { return float64(e.Stats().CheckpointsFailed) })
 	reg.CounterFunc("mkse_wal_appended_bytes_total", "Bytes appended to the WAL by this engine instance.",
 		func() float64 { return float64(e.Stats().WALBytes) })
 	e.metrics.Store(m)
@@ -270,6 +276,7 @@ func Open(dir string, p core.Params, opts Options) (*Engine, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("durable: creating data dir: %w", err)
 	}
+	removeTemps(dir)
 	ckpts, segs, err := scanDir(dir)
 	if err != nil {
 		return nil, err
@@ -598,9 +605,16 @@ func (e *Engine) Checkpoint() error { return e.checkpoint(false) }
 // checkpoint implements Checkpoint; force writes a snapshot even when the
 // engine is unchanged since the last one (the bootstrap path needs a
 // checkpoint file to ship even from a fresh, empty directory).
-func (e *Engine) checkpoint(force bool) error {
+func (e *Engine) checkpoint(force bool) (err error) {
 	e.ckptMu.Lock()
 	defer e.ckptMu.Unlock()
+	defer func() {
+		if err != nil {
+			e.mu.Lock()
+			e.stats.CheckpointsFailed++
+			e.mu.Unlock()
+		}
+	}()
 
 	// Checkpoints are rare and always worth inspecting, so every one is
 	// recorded (forced, not sampled), with the mutation-stream pause as a
@@ -621,7 +635,7 @@ func (e *Engine) checkpoint(force bool) error {
 	snap := &memSnapshot{params: e.srv.Params()}
 	// Export's contract permits retaining (not mutating) its arguments, so
 	// the snapshot captures the pointers and serializes after unlock.
-	err := e.srv.Export(func(si *core.SearchIndex, doc *core.EncryptedDocument) error {
+	err = e.srv.Export(func(si *core.SearchIndex, doc *core.EncryptedDocument) error {
 		snap.items = append(snap.items, snapItem{si: si, doc: doc})
 		return nil
 	})
@@ -891,8 +905,9 @@ func (e *Engine) openSegment(segs []uint64) error {
 }
 
 // cleanup removes files a durable checkpoint has obsoleted: older
-// checkpoints, segments fully below the checkpoint LSN, and stale temp
-// files. Failures are cosmetic (retried on the next cleanup) and ignored.
+// checkpoints and segments fully below the checkpoint LSN. Open calls it
+// before any reader or writer exists, checkpoint under ckptMu. Failures are
+// cosmetic (retried on the next cleanup) and ignored.
 func (e *Engine) cleanup() {
 	e.mu.Lock()
 	ckptLSN := e.stats.CheckpointLSN
@@ -924,8 +939,10 @@ func (e *Engine) cleanup() {
 func segName(lsn uint64) string  { return fmt.Sprintf("wal-%016d.log", lsn) }
 func ckptName(lsn uint64) string { return fmt.Sprintf("checkpoint-%016d.ckpt", lsn) }
 
-// scanDir lists the directory's checkpoint and segment LSNs, ascending, and
-// sweeps temp files left by an interrupted checkpoint write.
+// scanDir lists the directory's checkpoint and segment LSNs, ascending. It
+// never removes a file: log readers list the directory while a checkpoint
+// writes its file under a temp name. Only Open, and checkpoint and
+// ResetToCheckpoint under ckptMu, remove files.
 func scanDir(dir string) (ckpts, segs []uint64, err error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -933,10 +950,6 @@ func scanDir(dir string) (ckpts, segs []uint64, err error) {
 	}
 	for _, ent := range entries {
 		name := ent.Name()
-		if strings.HasSuffix(name, ".tmp") {
-			os.Remove(filepath.Join(dir, name))
-			continue
-		}
 		if n, ok := parseName(name, "wal-", ".log"); ok {
 			segs = append(segs, n)
 		} else if n, ok := parseName(name, "checkpoint-", ".ckpt"); ok {
@@ -946,6 +959,18 @@ func scanDir(dir string) (ckpts, segs []uint64, err error) {
 	sort.Slice(ckpts, func(i, j int) bool { return ckpts[i] < ckpts[j] })
 	sort.Slice(segs, func(i, j int) bool { return segs[i] < segs[j] })
 	return ckpts, segs, nil
+}
+
+// removeTemps deletes the temp files interrupted checkpoint writes left;
+// a failure leaves them to the next Open. Only Open calls it, before any
+// reader or writer exists.
+func removeTemps(dir string) {
+	entries, _ := os.ReadDir(dir) // scanDir, next, reports an unreadable directory
+	for _, ent := range entries {
+		if strings.HasSuffix(ent.Name(), ".tmp") {
+			os.Remove(filepath.Join(dir, ent.Name()))
+		}
+	}
 }
 
 func parseName(name, prefix, suffix string) (uint64, bool) {

@@ -387,6 +387,10 @@ func TestFailedFsyncRefusesLaterMutations(t *testing.T) {
 	refused("SetTerm", e.SetTerm(5))
 	refused("Upload", e.Upload(second.si, second.doc))
 	refused("Delete", e.Delete(first.id))
+	refused("Checkpoint", e.Checkpoint())
+	if got := e.Stats().CheckpointsFailed; got != 1 {
+		t.Errorf("CheckpointsFailed = %d after the refused checkpoint, want 1", got)
+	}
 	if got := e.Term(); got != 0 {
 		t.Errorf("Term = %d after the refused SetTerm, want 0", got)
 	}

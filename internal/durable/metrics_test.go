@@ -38,6 +38,9 @@ func TestEngineMetrics(t *testing.T) {
 	if err := eng.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
+	if err := eng.Checkpoint(); err != nil { // unchanged: a no-op, not a failure
+		t.Fatal(err)
+	}
 	if got := eng.metrics.Load().ckptDur.Count(); got != 1 {
 		t.Errorf("checkpoint duration count = %d, want 1", got)
 	}
@@ -49,6 +52,7 @@ func TestEngineMetrics(t *testing.T) {
 	for _, want := range []string{
 		"mkse_wal_append_seconds_count ",
 		"mkse_checkpoints_total 1",
+		"mkse_checkpoints_failed_total 0",
 		"mkse_checkpoint_lsn ",
 		"mkse_checkpoint_age_seconds ",
 		"mkse_wal_appended_bytes_total ",

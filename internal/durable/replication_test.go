@@ -2,6 +2,7 @@ package durable
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 	"time"
@@ -98,6 +99,52 @@ func TestReadWALTruncatedHistory(t *testing.T) {
 	}
 	if _, _, err := eng.ReadWAL(5, 1<<20); !errors.Is(err, ErrTruncatedHistory) {
 		t.Fatalf("ReadWAL below retained history: %v, want ErrTruncatedHistory", err)
+	}
+}
+
+// A primary's replication stream lists the data directory (ReadWAL,
+// OldestRetained) while its checkpoints write theirs under a temp name:
+// listing must never remove a checkpoint being written.
+func TestCheckpointsSurviveConcurrentLogReaders(t *testing.T) {
+	p := testParams()
+	rng := rand.New(rand.NewSource(75))
+	eng, err := Open(t.TempDir(), p, Options{Fsync: FsyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Crash()
+
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			// A cleanup between the two calls may truncate the history
+			// just listed; the reader only has to keep listing.
+			eng.ReadWAL(eng.OldestRetained(), 1<<20)
+		}
+	}()
+	const rounds = 50
+	for round := 0; round < rounds; round++ {
+		for i := 0; i < 5; i++ {
+			id := fmt.Sprintf("doc-%03d-%d", round, i)
+			applyOps(t, eng, []op{uploadOp(rng, p, id, id)})
+		}
+		if err := eng.Checkpoint(); err != nil {
+			t.Errorf("round %d: checkpoint: %v", round, err)
+		}
+	}
+	close(stop)
+	<-done
+	if st := eng.Stats(); st.Checkpoints != rounds || st.CheckpointsFailed != 0 {
+		t.Errorf("%d checkpoints taken and %d failed, want %d and 0", st.Checkpoints, st.CheckpointsFailed, rounds)
+	}
+	if got := eng.OldestRetained(); got != 5*rounds {
+		t.Errorf("oldest retained %d, want %d: the last checkpoint cut the log", got, 5*rounds)
 	}
 }
 

@@ -385,7 +385,7 @@ type ReplicaSubscribeResponse struct {
 
 // ReplicaSnapshotChunk carries one slice of the bootstrap checkpoint, in
 // order. Last marks the final chunk; the reassembled bytes are a complete
-// store checkpoint file (MKSESTO2).
+// store checkpoint file (MKSESTO3).
 type ReplicaSnapshotChunk struct {
 	Data []byte
 	Last bool

@@ -33,10 +33,12 @@ func NewResultCache(maxBytes int64) *ResultCache {
 	return qcache.New[[]protocol.MatchWire](maxBytes, 0)
 }
 
-// CloudService exposes a core.Server over TCP: Upload, Delete, Search,
-// Fetch and Stats endpoints. It requires no authentication — the server is
-// semi-honest and queries are anonymous ("the user does not provide his
-// identity during the communication with the server", Section 7).
+// CloudService exposes a core.Server over TCP, answering the requests of
+// its verb table (CloudService.verbs): the paper's upload, search and
+// fetch, plus delete, stats, cluster info, replication and failover. It
+// requires no authentication — the server is semi-honest and queries are
+// anonymous ("the user does not provide his identity during the
+// communication with the server", Section 7).
 type CloudService struct {
 	Server *core.Server
 	// Store, when set, receives uploads and deletions instead of Server —
@@ -159,48 +161,64 @@ func (s *CloudService) Drain(timeout time.Duration) {
 }
 
 // Serve accepts connections on l until it is closed. Every request flows
-// through the request seam (requestSeam.serve) with this service's Tracer,
-// Metrics, Logger and SlowQuery, read once here: set them before Serve.
+// through the request seam (requestSeam.serve) with this service's verb
+// table, Tracer, Metrics, Logger and SlowQuery, read once here: set them
+// before Serve.
 func (s *CloudService) Serve(l net.Listener) error {
 	rs := &requestSeam{
-		role: "server", verbOf: verbOf, dispatch: s.dispatch,
+		role: "server", verbs: s.verbs(),
 		tracer: s.Tracer, metrics: s.Metrics, logger: s.Logger,
 		slow: s.SlowQuery, documents: s.Server.NumDocuments, spanRemote: true,
 	}
 	return serveLoop(l, s.Logger, s.IdleTimeout, &s.tracker, rs.serve)
 }
 
-// dispatch routes one decoded request to its handler. ctx carries the
-// request's trace (context.Background() when unsampled) into the handlers
-// that record spans: search scans, qcache lookups, WAL appends.
-func (s *CloudService) dispatch(ctx context.Context, pc *protocol.Conn, conn net.Conn, m *protocol.Message, verb string) *protocol.Message {
-	switch verb {
-	case VerbUpload:
-		return s.handleUpload(ctx, m.UploadReq)
-	case VerbDelete:
-		return s.handleDelete(ctx, m.DeleteReq)
-	case VerbSearch:
-		return s.handleSearch(ctx, m)
-	case VerbFetch:
-		return s.handleFetch(m.FetchReq)
-	case VerbStats:
-		return &protocol.Message{StatsResp: s.stats()}
-	case VerbReplicaSubscribe:
-		// Takes over the connection for the stream's lifetime; a nil
-		// return tells serveLoop the conversation is over. The stream
-		// has its own liveness protocol (acks against heartbeats), so
-		// the per-request idle deadline comes off.
-		conn.SetReadDeadline(time.Time{})
-		s.handleReplicaSubscribe(pc, conn.RemoteAddr().String(), m.ReplicaSubscribeReq)
-		return nil
-	case VerbPromote:
-		return s.handlePromote(m.PromoteReq)
-	case VerbReconfigure:
-		return s.handleReconfigure(m.ReconfigureReq)
-	case VerbClusterInfo:
-		return s.handleClusterInfo()
-	default:
-		return errMsg(fmt.Errorf("cloud: unsupported request"))
+// verbs is the cloud daemon's verb table, one row per request it answers
+// (see verb). The handlers' ctx carries the request's trace
+// (context.Background() when unsampled) into the spans they record: search
+// scans, qcache lookups, WAL appends.
+func (s *CloudService) verbs() []verb {
+	return []verb{
+		{name: "upload", has: func(m *protocol.Message) bool { return m.UploadReq != nil },
+			serve: func(ctx context.Context, c call) *protocol.Message { return s.handleUpload(ctx, c.UploadReq) }},
+		{name: "delete", has: func(m *protocol.Message) bool { return m.DeleteReq != nil },
+			serve: func(ctx context.Context, c call) *protocol.Message { return s.handleDelete(ctx, c.DeleteReq) }},
+		// Both search frames count as "search": a single search is a batch of one.
+		{name: "search", has: func(m *protocol.Message) bool { return m.SearchReq != nil }, slowQuery: true,
+			serve: func(ctx context.Context, c call) *protocol.Message {
+				resp, err := s.searchOne(ctx, c.SearchReq)
+				return s.searchReply(&protocol.Message{SearchResp: resp}, err)
+			}},
+		{name: "search", has: func(m *protocol.Message) bool { return m.SearchBatchReq != nil }, slowQuery: true,
+			serve: func(ctx context.Context, c call) *protocol.Message {
+				if n := len(c.SearchBatchReq.Queries); n > protocol.MaxBatchQueries {
+					return errMsgCode(protocol.CodeBatchTooLarge, fmt.Errorf("cloud: batch of %d queries exceeds the limit of %d", n, protocol.MaxBatchQueries))
+				}
+				resp, err := s.SearchBatchWire(ctx, c.SearchBatchReq)
+				return s.searchReply(&protocol.Message{SearchBatchResp: resp}, err)
+			}},
+		{name: "fetch", has: func(m *protocol.Message) bool { return m.FetchReq != nil },
+			serve: func(_ context.Context, c call) *protocol.Message { return s.handleFetch(c.FetchReq) }},
+		{name: "stats", has: func(m *protocol.Message) bool { return m.StatsReq != nil },
+			serve: func(context.Context, call) *protocol.Message { return &protocol.Message{StatsResp: s.stats()} }},
+		{name: "replicasubscribe", has: func(m *protocol.Message) bool { return m.ReplicaSubscribeReq != nil }, stream: true,
+			serve: func(_ context.Context, c call) *protocol.Message {
+				// The stream has its own liveness protocol (acks against
+				// heartbeats), so the per-request idle deadline comes off.
+				c.conn.SetReadDeadline(time.Time{})
+				s.handleReplicaSubscribe(c.pc, c.conn.RemoteAddr().String(), c.ReplicaSubscribeReq)
+				return nil
+			}},
+		{name: "promote", has: func(m *protocol.Message) bool { return m.PromoteReq != nil },
+			serve: func(_ context.Context, c call) *protocol.Message { return s.handlePromote(c.PromoteReq) }},
+		{name: "reconfigure", has: func(m *protocol.Message) bool { return m.ReconfigureReq != nil },
+			serve: func(_ context.Context, c call) *protocol.Message { return s.handleReconfigure(c.ReconfigureReq) }},
+		// The partition-map exchange a fat client performs before routing anything.
+		{name: "clusterinfo", has: func(m *protocol.Message) bool { return m.ClusterInfoReq != nil },
+			serve: func(context.Context, call) *protocol.Message {
+				return &protocol.Message{ClusterInfoResp: &protocol.ClusterInfoResponse{Partition: s.Partition, Partitions: s.Partitions}}
+			}},
+		unsupported("cloud"),
 	}
 }
 
@@ -275,15 +293,6 @@ func (s *CloudService) handleReconfigure(req *protocol.ReconfigureRequest) *prot
 	return &protocol.Message{ReconfigureResp: &protocol.ReconfigureResponse{Term: s.Eng.Term()}}
 }
 
-// handleClusterInfo reports the daemon's partition identity — the
-// partition-map exchange a fat client performs before routing anything.
-func (s *CloudService) handleClusterInfo() *protocol.Message {
-	return &protocol.Message{ClusterInfoResp: &protocol.ClusterInfoResponse{
-		Partition:  s.Partition,
-		Partitions: s.Partitions,
-	}}
-}
-
 // checkOwnership rejects a mutation for a document this partition does not
 // own. Searches are never checked — a scatter-gather query legitimately
 // reaches every partition.
@@ -354,24 +363,13 @@ func (s *CloudService) handleDelete(ctx context.Context, req *protocol.DeleteReq
 	return &protocol.Message{DeleteResp: &protocol.DeleteResponse{Stored: s.Server.NumDocuments()}}
 }
 
-// handleSearch answers both search frames: a SearchBatchRequest directly
-// and a SearchRequest as a batch of one (searchOne).
-func (s *CloudService) handleSearch(ctx context.Context, m *protocol.Message) *protocol.Message {
-	if b := m.SearchBatchReq; b != nil && len(b.Queries) > protocol.MaxBatchQueries {
-		return errMsgCode(protocol.CodeBatchTooLarge, fmt.Errorf("cloud: batch of %d queries exceeds the limit of %d", len(b.Queries), protocol.MaxBatchQueries))
-	}
-	var resp protocol.Message
-	var err error
-	if m.SearchReq != nil {
-		resp.SearchResp, err = s.searchOne(ctx, m.SearchReq)
-	} else {
-		resp.SearchBatchResp, err = s.SearchBatchWire(ctx, m.SearchBatchReq)
-	}
+// searchReply wraps a finished search's reply, or its error.
+func (s *CloudService) searchReply(resp *protocol.Message, err error) *protocol.Message {
 	if err != nil {
 		return errMsg(err)
 	}
 	logf(s.Logger, "cloud: search over %d documents", s.Server.NumDocuments())
-	return &resp
+	return resp
 }
 
 // matchesToWire is a scan result as the wire (and the cache) carries it:

@@ -14,56 +14,6 @@ import (
 	"mkse/internal/trace"
 )
 
-// Verb names classify every wire request for metrics labels, slow-query
-// logs and dispatch. They are the label values of the
-// mkse_request_duration_seconds and mkse_request_errors_total series.
-const (
-	VerbUpload           = "upload"
-	VerbDelete           = "delete"
-	VerbSearch           = "search" // both search frames: a single search is a batch of one
-	VerbFetch            = "fetch"
-	VerbStats            = "stats"
-	VerbReplicaSubscribe = "replicasubscribe"
-	VerbPromote          = "promote"
-	VerbReconfigure      = "reconfigure"
-	VerbClusterInfo      = "clusterinfo"
-	VerbUnknown          = "unknown"
-)
-
-// verbs is the full label set, pre-registered so every series exists from
-// the first scrape (Prometheus rate() needs the zero sample).
-var verbs = []string{
-	VerbUpload, VerbDelete, VerbSearch, VerbFetch,
-	VerbStats, VerbReplicaSubscribe, VerbPromote, VerbReconfigure,
-	VerbClusterInfo,
-}
-
-// verbOf classifies a decoded message by its populated request field.
-func verbOf(m *protocol.Message) string {
-	switch {
-	case m.UploadReq != nil:
-		return VerbUpload
-	case m.DeleteReq != nil:
-		return VerbDelete
-	case m.SearchReq != nil, m.SearchBatchReq != nil:
-		return VerbSearch
-	case m.FetchReq != nil:
-		return VerbFetch
-	case m.StatsReq != nil:
-		return VerbStats
-	case m.ReplicaSubscribeReq != nil:
-		return VerbReplicaSubscribe
-	case m.PromoteReq != nil:
-		return VerbPromote
-	case m.ReconfigureReq != nil:
-		return VerbReconfigure
-	case m.ClusterInfoReq != nil:
-		return VerbClusterInfo
-	default:
-		return VerbUnknown
-	}
-}
-
 // Series names exported by the cloud daemon. The state series — those the
 // Stats reply carries — are mapped from it in one place, statsRows, which
 // /metrics, `mkse client -json stats` (StatsJSON) and `mkse client stats`
@@ -110,7 +60,7 @@ type verbMetrics struct {
 // no-ops), so uninstrumented daemons pay only a nil check per request.
 type ServiceMetrics struct {
 	inflight *telemetry.Gauge
-	verbs    map[string]*verbMetrics // every verb plus VerbUnknown
+	verbs    map[string]*verbMetrics // by label of the cloud's verb table
 	scan     *telemetry.Histogram    // fed by the core server's scan hook (observeScans)
 }
 
@@ -137,9 +87,6 @@ func (m *ServiceMetrics) observe(verb string, d time.Duration, isErr bool, trace
 		return
 	}
 	vm := m.verbs[verb]
-	if vm == nil {
-		vm = m.verbs[VerbUnknown]
-	}
 	vm.latency.Observe(d)
 	if isErr {
 		vm.errors.Inc()
@@ -162,9 +109,16 @@ func (m *ServiceMetrics) observe(verb string, d time.Duration, isErr bool, trace
 // cache or a WAL the daemon lacks is not registered. Call it once, before
 // Serve.
 func (s *CloudService) EnableMetrics(reg *telemetry.Registry) *ServiceMetrics {
-	m := &ServiceMetrics{verbs: make(map[string]*verbMetrics, len(verbs)+1)}
+	var labels []string // the verb table's row names; the two search rows are adjacent
+	for _, v := range s.verbs() {
+		labels = append(labels, v.name)
+	}
+	labels = slices.Compact(labels)
+	m := &ServiceMetrics{verbs: make(map[string]*verbMetrics, len(labels))}
 	m.inflight = reg.Gauge(SeriesRequestsInFlight, "Requests currently being served.")
-	for _, v := range slices.Concat(verbs, []string{VerbUnknown}) {
+	// Every label is registered up front, so each series exists from the
+	// first scrape (Prometheus rate() needs the zero sample).
+	for _, v := range labels {
 		m.verbs[v] = &verbMetrics{
 			latency: reg.Histogram(SeriesRequestDuration, "Wire request latency by verb.",
 				telemetry.RequestBuckets(), telemetry.Label{Key: "verb", Value: v}),
@@ -178,7 +132,7 @@ func (s *CloudService) EnableMetrics(reg *telemetry.Registry) *ServiceMetrics {
 	// requests displace the record.
 	reg.Collect(SeriesSlowestTraced, "Slowest traced request per verb; trace_id points into /traces.",
 		telemetry.KindGauge, func(emit func([]telemetry.Label, float64)) {
-			for _, v := range verbs {
+			for _, v := range labels {
 				vm := m.verbs[v]
 				vm.slowMu.Lock()
 				d, id := vm.slowDur, vm.slowTrace

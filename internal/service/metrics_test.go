@@ -184,7 +184,7 @@ func TestEnableMetricsEndToEnd(t *testing.T) {
 	if _, err := client.Search(words, 5); err != nil {
 		t.Fatal(err)
 	}
-	requestLine(t, logs, slog.LevelDebug, "request served", VerbSearch, "verb", "duration", "remote")
+	requestLine(t, logs, slog.LevelDebug, "request served", "search", "verb", "duration", "remote")
 	if _, err := client.Retrieve("no-such-document"); err == nil {
 		t.Fatal("retrieving a missing document should fail")
 	}
@@ -221,7 +221,7 @@ func TestEnableMetricsEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	line := requestLine(t, logs, slog.LevelDebug, "request served", VerbSearch, "verb", "duration", "remote", "trace_id")
+	line := requestLine(t, logs, slog.LevelDebug, "request served", "search", "verb", "duration", "remote", "trace_id")
 	if id := spans[0].Trace.String(); line["trace_id"] != id {
 		t.Errorf("request line trace_id = %q, want the propagated trace %s", line["trace_id"], id)
 	}
@@ -239,7 +239,7 @@ func TestEnableMetricsEndToEnd(t *testing.T) {
 	if resp.Error == nil {
 		t.Fatal("malformed query answered without an error")
 	}
-	requestLine(t, logs, slog.LevelWarn, "request failed", VerbSearch, "verb", "duration", "remote", "err")
+	requestLine(t, logs, slog.LevelWarn, "request failed", "search", "verb", "duration", "remote", "err")
 
 	// A sampled owner request echoes the owner's root span on its reply.
 	resp = exchange(t, d.ownerAddr, &protocol.Message{

@@ -40,40 +40,24 @@ type OwnerService struct {
 }
 
 // Serve accepts connections on l until it is closed. Every request flows
-// through the request seam (requestSeam.serve) with this service's Tracer
-// and Logger, read once here: set them before Serve.
+// through the request seam (requestSeam.serve) with this service's verb
+// table, Tracer and Logger, read once here: set them before Serve.
 func (s *OwnerService) Serve(l net.Listener) error {
-	rs := &requestSeam{role: "owner", verbOf: ownerVerbOf, dispatch: s.dispatch, tracer: s.Tracer, logger: s.Logger}
+	rs := &requestSeam{role: "owner", verbs: s.verbs(), tracer: s.Tracer, logger: s.Logger}
 	return serveLoop(l, s.Logger, s.IdleTimeout, nil, rs.serve)
 }
 
-// ownerVerbOf classifies an owner-side request for trace span names and
-// log lines.
-func ownerVerbOf(m *protocol.Message) string {
-	switch {
-	case m.EnrollReq != nil:
-		return "enroll"
-	case m.TrapdoorReq != nil:
-		return "trapdoor"
-	case m.BlindDecryptReq != nil:
-		return "blinddecrypt"
-	default:
-		return "unknown"
-	}
-}
-
-// dispatch routes one decoded request to its handler (the owner records no
-// child spans and never takes a connection over).
-func (s *OwnerService) dispatch(_ context.Context, _ *protocol.Conn, _ net.Conn, m *protocol.Message, verb string) *protocol.Message {
-	switch verb {
-	case "enroll":
-		return s.handleEnroll(m.EnrollReq)
-	case "trapdoor":
-		return s.handleTrapdoor(m.TrapdoorReq)
-	case "blinddecrypt":
-		return s.handleBlindDecrypt(m.BlindDecryptReq)
-	default:
-		return errMsg(fmt.Errorf("owner: unsupported request"))
+// verbs is the owner daemon's verb table (see verb). Its handlers record
+// no child spans and never take a connection over.
+func (s *OwnerService) verbs() []verb {
+	return []verb{
+		{name: "enroll", has: func(m *protocol.Message) bool { return m.EnrollReq != nil },
+			serve: func(_ context.Context, c call) *protocol.Message { return s.handleEnroll(c.EnrollReq) }},
+		{name: "trapdoor", has: func(m *protocol.Message) bool { return m.TrapdoorReq != nil },
+			serve: func(_ context.Context, c call) *protocol.Message { return s.handleTrapdoor(c.TrapdoorReq) }},
+		{name: "blinddecrypt", has: func(m *protocol.Message) bool { return m.BlindDecryptReq != nil },
+			serve: func(_ context.Context, c call) *protocol.Message { return s.handleBlindDecrypt(c.BlindDecryptReq) }},
+		unsupported("owner"),
 	}
 }
 

@@ -1,10 +1,12 @@
 package service
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
 	"net"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -387,6 +389,65 @@ func TestReplicaStaysConvergedUnderConcurrentWrites(t *testing.T) {
 	}
 	if got := replFingerprint(t, fo2.eng.Server(), qs); got != want {
 		t.Error("follower 2 differs from primary under concurrent writes")
+	}
+}
+
+// A primary with automatic checkpoints and a streaming follower: the
+// stream reads the primary's log (ReadWAL) while checkpoints write into the
+// same directory. Every checkpoint must land and cut the log, and the
+// follower must answer the wire search path exactly as the primary does.
+func TestCheckpointsSurviveStreamingFollower(t *testing.T) {
+	p := replParams()
+	rng := rand.New(rand.NewSource(95))
+	eng, err := durable.Open(t.TempDir(), p, durable.Options{Fsync: durable.FsyncNever, CheckpointEvery: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Crash()
+	primary := &CloudService{Server: eng.Server(), Store: eng, WAL: eng, HeartbeatEvery: 25 * time.Millisecond}
+	addr := serveLoopback(t, primary.Serve)
+	fo := startReplFollower(t, p, t.TempDir(), addr)
+
+	// Each round is 10 mutations (8 uploads, 2 deletes), so it triggers one
+	// background checkpoint; the next round starts once it has finished.
+	const rounds = 20
+	var indices []*core.SearchIndex
+	for r := 0; r < rounds; r++ {
+		for i := 0; i < 8; i++ {
+			indices = append(indices, replUpload(t, eng, rng, p, fmt.Sprintf("doc-%02d-%d", r, i)))
+		}
+		for _, i := range []int{2, 5} {
+			if err := eng.Delete(fmt.Sprintf("doc-%02d-%d", r, i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		deadline := time.Now().Add(5 * time.Second)
+		for st := eng.Stats(); st.Checkpoints+st.CheckpointsFailed <= r && time.Now().Before(deadline); st = eng.Stats() {
+			time.Sleep(time.Millisecond)
+		}
+	}
+	waitConverged(t, eng, fo.eng)
+	if st := eng.Stats(); st.Checkpoints != rounds || st.CheckpointsFailed != 0 {
+		t.Errorf("%d checkpoints taken and %d failed, want %d and 0", st.Checkpoints, st.CheckpointsFailed, rounds)
+	}
+	if got := eng.OldestRetained(); got == 0 {
+		t.Errorf("oldest retained position still 0 at position %d", eng.Position())
+	}
+
+	req := &protocol.SearchBatchRequest{TopK: 10}
+	for _, q := range replQueries(rand.New(rand.NewSource(96)), p, indices[100:]) {
+		req.Queries = append(req.Queries, marshalVector(q))
+	}
+	want, err := primary.SearchBatchWire(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := fo.svc.SearchBatchWire(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("follower's search output differs from the primary's:\n got %v\nwant %v", got.Results, want.Results)
 	}
 }
 

@@ -149,17 +149,42 @@ func serveLoop(l net.Listener, logger *slog.Logger, idle time.Duration, tracker 
 	}
 }
 
+// A verb is one row of a daemon's verb table (CloudService.verbs,
+// OwnerService.verbs); the last row is always unsupported.
+type verb struct {
+	name      string                                        // metric label, root span role:name, log field
+	has       func(*protocol.Message) bool                  // m carries the request this row answers
+	serve     func(context.Context, call) *protocol.Message // nil: it took the connection over
+	stream    bool                                          // a connection-lifetime stream: never traced or observed
+	slowQuery bool                                          // takes the slow-query path (WARN line, /traces/slow)
+}
+
+// call is a decoded request and the connection it arrived on.
+type call struct {
+	*protocol.Message
+	pc   *protocol.Conn
+	conn net.Conn
+}
+
+// unsupported claims every request, so it ends each verb table: a frame no
+// other row answers (empty, or a reply sent as a request) gets an error.
+func unsupported(daemon string) verb {
+	return verb{name: "unknown", has: func(*protocol.Message) bool { return true },
+		serve: func(context.Context, call) *protocol.Message {
+			return errMsg(fmt.Errorf("%s: unsupported request", daemon))
+		}}
+}
+
 // requestSeam is the one per-request instrumentation path: both services'
-// Serve methods fill one from their fields and hand its serve method to
-// serveLoop. A nil or zero field turns its instrument off; with all of them
-// off a request reads no clock.
+// Serve methods fill one from their verb table and fields and hand its
+// serve method to serveLoop. A nil or zero instrument is off; with all of
+// them off a request reads no clock.
 type requestSeam struct {
-	role     string // "server" or "owner": root spans are named role:verb
-	verbOf   func(*protocol.Message) string
-	dispatch func(ctx context.Context, pc *protocol.Conn, conn net.Conn, m *protocol.Message, verb string) *protocol.Message
-	tracer   *trace.Tracer
-	metrics  *ServiceMetrics
-	logger   *slog.Logger
+	role    string // "server" or "owner": root spans are named role:verb
+	verbs   []verb
+	tracer  *trace.Tracer
+	metrics *ServiceMetrics
+	logger  *slog.Logger
 	// slow is the search latency logged as "slow query" (with the store size
 	// documents reports) and captured into /traces/slow even when unsampled.
 	slow       time.Duration
@@ -167,23 +192,27 @@ type requestSeam struct {
 	spanRemote bool // root spans carry the peer address (the owner's never have)
 }
 
-// serve classifies the verb, continues or opens the root span, brackets the
-// dispatch with the in-flight gauge, ends and echoes the span, captures an
-// unsampled slow search, observes the request metrics, and logs one line.
+// serve finds the request's row, continues or opens the root span,
+// brackets the handler with the in-flight gauge, ends and echoes the span,
+// captures an unsampled slow search, observes the request metrics, and
+// logs one line.
 func (rs *requestSeam) serve(pc *protocol.Conn, conn net.Conn, m *protocol.Message) *protocol.Message {
-	verb := rs.verbOf(m)
+	var v *verb
+	for i := range rs.verbs {
+		if v = &rs.verbs[i]; v.has(m) {
+			break // the last row, unsupported, claims every request
+		}
+	}
 	var start time.Time
 	if rs.metrics != nil || rs.slow > 0 || rs.logger != nil || rs.tracer != nil {
 		start = time.Now()
 	}
-	// Replication subscribes are never traced: they are connection-lifetime
-	// streams, not requests.
 	ctx, root := context.Background(), (*trace.ActiveSpan)(nil)
-	if rs.tracer != nil && verb != VerbReplicaSubscribe {
-		ctx, root = rs.tracer.ContinueRequest(ctx, rs.role+":"+verb, traceCtxFromWire(m.Trace))
+	if rs.tracer != nil && !v.stream {
+		ctx, root = rs.tracer.ContinueRequest(ctx, rs.role+":"+v.name, traceCtxFromWire(m.Trace))
 	}
 	rs.metrics.begin()
-	resp := rs.dispatch(ctx, pc, conn, m, verb)
+	resp := v.serve(ctx, call{Message: m, pc: pc, conn: conn})
 	rs.metrics.end()
 	if start.IsZero() {
 		return resp
@@ -207,7 +236,7 @@ func (rs *requestSeam) serve(pc *protocol.Conn, conn net.Conn, m *protocol.Messa
 		}
 	}
 	dur := time.Since(start)
-	slow := rs.slow > 0 && dur >= rs.slow && verb == VerbSearch
+	slow := rs.slow > 0 && dur >= rs.slow && v.slowQuery
 	documents := 0
 	if slow {
 		documents = rs.documents()
@@ -216,25 +245,22 @@ func (rs *requestSeam) serve(pc *protocol.Conn, conn net.Conn, m *protocol.Messa
 	// being head-sampled still lands in /traces/slow as one root span, so
 	// the tail the latency histograms flag is always inspectable.
 	if slow && root == nil && rs.tracer != nil {
-		id := rs.tracer.RecordRoot(rs.role+":"+verb, start, dur,
-			trace.Attr{Key: "verb", Value: verb},
+		id := rs.tracer.RecordRoot(rs.role+":"+v.name, start, dur,
+			trace.Attr{Key: "verb", Value: v.name},
 			trace.Attr{Key: "remote", Value: remote},
 			trace.Attr{Key: "documents", Value: strconv.Itoa(documents)})
 		if !id.IsZero() {
 			traceID = id.String()
 		}
 	}
-	// A replication subscribe returns nil after owning the connection for
-	// the stream's whole lifetime — its "duration" is not a request latency,
-	// so it is counted but never observed.
-	if resp != nil {
-		rs.metrics.observe(verb, dur, failed, traceID)
+	if !v.stream {
+		rs.metrics.observe(v.name, dur, failed, traceID)
 	}
 	if rs.logger == nil {
 		return resp
 	}
 	level, msg := slog.LevelDebug, "request served"
-	args := []any{"verb", verb, "duration", dur, "remote", remote}
+	args := []any{"verb", v.name, "duration", dur, "remote", remote}
 	switch {
 	case slow:
 		level, msg = slog.LevelWarn, "slow query"

@@ -260,7 +260,7 @@ func TestServerSlowQueryCaptureUnsampled(t *testing.T) {
 	if r == nil || r.Name != "server:search" {
 		t.Fatalf("slow capture mis-rooted: %+v", slow[0])
 	}
-	line := requestLine(t, logs, slog.LevelWarn, "slow query", VerbSearch,
+	line := requestLine(t, logs, slog.LevelWarn, "slow query", "search",
 		"verb", "duration", "remote", "budget", "documents", "trace_id")
 	if line["trace_id"] != slow[0].ID.String() {
 		t.Errorf("slow query line trace_id = %q, want the captured trace %s", line["trace_id"], slow[0].ID)
